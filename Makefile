@@ -16,19 +16,22 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mclint ./...
 
+# fuzz runs the same targets as the fuzz step of scripts/check.sh.
 fuzz:
 	$(GO) test ./internal/edfvd -run='^$$' -fuzz='^FuzzTheorem1Feasible$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/edfvd -run='^$$' -fuzz='^FuzzDualAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/taskgen -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/taskgen -run='^$$' -fuzz='^FuzzCDFSource$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/fpamc -run='^$$' -fuzz='^FuzzBackendAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzIncrementalAgreement$$' -fuzztime=$(FUZZTIME)
 
 fmt:
 	gofmt -w .
 
-# bench runs the partitioning fast-path benchmarks with fixed flags and
-# writes BENCH_PR2.json with speedups against the pre-fast-path baseline.
+# bench runs the repo benchmark (BENCHMARK.json) on its main workload,
+# the paper's Fig. 1 sweep, with a fixed seed and no tracing.
 bench:
-	scripts/bench.sh
-
+	bash mcbench/run.sh --workload sweep-fig1 --seed 1 --seconds 25 --trace 0
 
 # check is the full tier-2 gate: fmt/vet/mclint/race tests/short fuzz.
 check:

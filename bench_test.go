@@ -87,8 +87,7 @@ func benchPopulation(n int) []*catpa.TaskSet {
 // BenchmarkPartition times one partitioning run per iteration for each
 // scheme at the paper's default point (M=8, K=4, NSU=0.6) and reports
 // the scheme's acceptance ratio over the cycled population. It uses
-// the reusable Partitioner fast path (steady state: 0 allocs/op); see
-// BenchmarkPartitionLegacy for the one-shot entry point.
+// the reusable Partitioner (steady state: 0 allocs/op).
 func BenchmarkPartition(b *testing.B) {
 	sets := benchPopulation(200)
 	for _, s := range catpa.Schemes {
@@ -99,25 +98,6 @@ func BenchmarkPartition(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ts := sets[i%len(sets)]
 				if p.Evaluate(ts, s, nil).Feasible {
-					feasible++
-				}
-			}
-			b.ReportMetric(float64(feasible)/float64(b.N), "sched_ratio")
-		})
-	}
-}
-
-// BenchmarkPartitionLegacy times the allocating one-shot Partition
-// call (the pre-fast-path baseline, kept for comparison).
-func BenchmarkPartitionLegacy(b *testing.B) {
-	sets := benchPopulation(200)
-	for _, s := range catpa.Schemes {
-		b.Run(s.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			feasible := 0
-			for i := 0; i < b.N; i++ {
-				ts := sets[i%len(sets)]
-				if catpa.Partition(ts, 8, 4, s, nil).Feasible {
 					feasible++
 				}
 			}

@@ -16,11 +16,11 @@ import (
 //     K = 4 paths must be indistinguishable from the generic scan.
 //     This is the Backend delta contract's bit-identity invariant at
 //     the State seam.
-//   - State vs the matrix-based probe screens (FeasibleProbed and
-//     friends) must agree on every verdict and on every reading up to
-//     accumulation order: the two representations sum the same
-//     utilizations along different association orders, so floats are
-//     compared with a tolerance, verdicts exactly.
+//   - State vs the matrix analysis (AnalyzeInto on the subset with the
+//     candidate physically added) must agree on every verdict and on
+//     every reading up to accumulation order: the two representations
+//     sum the same utilizations along different association orders, so
+//     floats are compared with a tolerance, verdicts exactly.
 
 // approxEq is the cross-representation float comparison: equal up to
 // accumulation-order rounding, with infinities matched exactly.
@@ -32,67 +32,85 @@ func approxEq(a, b float64) bool {
 	return diff <= 1e-9*(1+math.Abs(a)+math.Abs(b))
 }
 
-// buildPair accumulates the same random subset into a State (delta
-// adds) and a UtilMatrix (the probe screens' representation).
-func buildPair(rng *rand.Rand, k, n int) (*State, *mc.UtilMatrix) {
-	var s State
-	s.Reset(k)
-	m := mc.NewUtilMatrix(k)
-	row := make([]float64, k)
-	for i := 0; i < n; i++ {
-		tk := randTask(rng, i+1, k)
-		tk.UtilRow(k, row)
-		s.Add(tk.Crit, row[:tk.Crit])
-		m.Add(&tk)
+// randTask draws a valid task biased toward the interesting boundary
+// region (subsets that are neither trivially light nor hopeless).
+func randTask(rng *rand.Rand, id, maxK int) mc.Task {
+	period := float64(1 + rng.Intn(2000))
+	crit := 1 + rng.Intn(maxK)
+	u1 := 0.02 + 0.6*rng.Float64()
+	w := make([]float64, crit)
+	w[0] = u1 * period
+	growth := 1 + 2*rng.Float64()
+	for j := 1; j < crit; j++ {
+		w[j] = math.Min(w[j-1]*growth, period)
 	}
-	return &s, m
+	return mc.MustTask(id, "", period, w...)
 }
 
-// TestStateQueriesMatchProbedScreens sweeps K = 1..6 with random
-// resident subsets and candidates, comparing every State query against
-// the matrix-based probe screens and the post-add Analyze ground
-// truth.
-func TestStateQueriesMatchProbedScreens(t *testing.T) {
+// replay accumulates tasks into a fresh State in order — the
+// exact-recompute path a backend takes after a removal.
+func replay(k int, tasks []mc.Task) *State {
+	var s State
+	s.Reset(k)
+	row := make([]float64, k)
+	for i := range tasks {
+		tasks[i].UtilRow(k, row)
+		s.Add(tasks[i].Crit, row[:tasks[i].Crit])
+	}
+	return &s
+}
+
+// buildPair accumulates the same random subset into a State (delta
+// adds) and a UtilMatrix (the full analysis's representation); it also
+// returns the subset for replays.
+func buildPair(rng *rand.Rand, k, n int) (*State, *mc.UtilMatrix, []mc.Task) {
+	m := mc.NewUtilMatrix(k)
+	tasks := make([]mc.Task, n)
+	for i := range tasks {
+		tasks[i] = randTask(rng, i+1, k)
+		m.Add(&tasks[i])
+	}
+	return replay(k, tasks), m, tasks
+}
+
+// TestStateQueriesMatchAnalysis sweeps K = 1..6 with random resident
+// subsets and candidates, comparing every probed State query against
+// the post-add AnalyzeInto ground truth: FeasibleWith and EvalWith
+// exactly on verdicts and within approxEq on readings, the Eq. 4
+// accept only in its sound direction, and UtilFloorWith never above
+// either Eq. 9 reading (the certification ProbeBoundedWith's prune
+// rests on).
+func TestStateQueriesMatchAnalysis(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260809))
+	var r Report
 	for k := 1; k <= 6; k++ {
 		for trial := 0; trial < 250; trial++ {
-			s, m := buildPair(rng, k, rng.Intn(6))
+			s, m, _ := buildPair(rng, k, rng.Intn(6))
 			probe := randTask(rng, 99, k)
-			// State queries take the full K-length row; the matrix
-			// screens take the crit-length prefix.
+			// State queries take the full K-length row.
 			row := make([]float64, k)
 			probe.UtilRow(k, row)
-			prefix := row[:probe.Crit]
 			crit := probe.Crit
 			ctx := func(what string) string {
 				return what + " (k=" + itoa(k) + " trial=" + itoa(trial) + " crit=" + itoa(crit) + ")"
 			}
 
-			d := m.Data()
-			if got, want := s.FeasibleWith(crit, row), FeasibleProbed(d, k, crit, prefix); got != want {
-				t.Fatal(ctx("FeasibleWith"), got, "probed", want)
-			}
-			if got, want := s.SimpleFeasibleWith(crit, row), SimpleFeasibleProbed(d, k, crit, prefix); got != want {
-				t.Fatal(ctx("SimpleFeasibleWith"), got, "probed", want)
-			}
-			if k >= 2 {
-				if got, want := s.FastInfeasibleWith(crit, row), FastInfeasibleProbed(d, k, crit, prefix); got != want {
-					t.Fatal(ctx("FastInfeasibleWith"), got, "probed", want)
-				}
-				if got, want := s.UtilFloorWith(crit, row), UtilFloorProbed(d, k, crit, prefix); !approxEq(got, want) {
-					t.Fatal(ctx("UtilFloorWith"), got, "probed", want)
-				}
-			}
-
-			// EvalWith vs the post-add Analyze ground truth.
-			var ev ProbeEval
-			s.EvalWith(crit, row, &ev)
 			real := m.Clone()
 			real.Add(&probe)
-			r := Analyze(real)
-			if (ev.FeasibleK > 0) != r.Feasible() {
-				t.Fatal(ctx("EvalWith feasibility"), ev.FeasibleK, "Analyze", r.FeasibleK)
+			AnalyzeInto(real, &r)
+
+			if got := s.FeasibleWith(crit, row); got != r.Feasible() {
+				t.Fatal(ctx("FeasibleWith"), got, "Analyze", r.Feasible())
 			}
+			if s.SimpleFeasibleWith(crit, row) && !r.Feasible() {
+				t.Fatal(ctx("SimpleFeasibleWith accepts an infeasible subset"))
+			}
+			if floor := s.UtilFloorWith(crit, row); r.Feasible() && (floor > r.CoreUtil || floor > r.CoreUtilWorst) {
+				t.Fatal(ctx("UtilFloorWith"), floor, "exceeds Analyze", r.CoreUtil, r.CoreUtilWorst)
+			}
+
+			var ev ProbeEval
+			s.EvalWith(crit, row, &ev)
 			if ev.FeasibleK != r.FeasibleK {
 				t.Fatal(ctx("EvalWith FeasibleK"), ev.FeasibleK, "Analyze", r.FeasibleK)
 			}
@@ -114,7 +132,7 @@ func TestStateProbeCommitBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for k := 1; k <= 6; k++ {
 		for trial := 0; trial < 250; trial++ {
-			s, _ := buildPair(rng, k, rng.Intn(6))
+			s, _, tasks := buildPair(rng, k, rng.Intn(6))
 			probe := randTask(rng, 99, k)
 			row := make([]float64, k)
 			probe.UtilRow(k, row)
@@ -127,9 +145,7 @@ func TestStateProbeCommitBitIdentity(t *testing.T) {
 					k, trial, feasible, probed.FeasibleK)
 			}
 
-			var committed State
-			committed.CopyFrom(s)
-			committed.Add(probe.Crit, row[:probe.Crit])
+			committed := replay(k, append(tasks, probe))
 			var ev ProbeEval
 			committed.Eval(&ev)
 			if ev != probed {
@@ -163,7 +179,7 @@ func TestProbeBoundedMatchesFloorThenEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for k := 1; k <= 6; k++ {
 		for trial := 0; trial < 200; trial++ {
-			s, _ := buildPair(rng, k, rng.Intn(6))
+			s, _, _ := buildPair(rng, k, rng.Intn(6))
 			probe := randTask(rng, 99, k)
 			row := make([]float64, k)
 			probe.UtilRow(k, row)
@@ -189,28 +205,6 @@ func TestProbeBoundedMatchesFloorThenEval(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFastInfeasibleMatrix covers the committed-matrix overload screen:
-// reject iff the own-level residual plus the Eq. 5 min term overflows.
-func TestFastInfeasibleMatrix(t *testing.T) {
-	light := mc.NewUtilMatrix(3)
-	tk := mc.MustTask(1, "", 10, 1, 2, 3)
-	light.Add(&tk)
-	if FastInfeasible(light) {
-		t.Error("FastInfeasible rejects a light subset")
-	}
-	heavy := mc.NewUtilMatrix(3)
-	for i := 0; i < 4; i++ {
-		hk := mc.MustTask(i+1, "", 10, 4, 5, 6)
-		heavy.Add(&hk)
-	}
-	if !FastInfeasible(heavy) {
-		t.Error("FastInfeasible accepts a grossly overloaded subset")
-	}
-	if Feasible(heavy) {
-		t.Error("Feasible accepts a grossly overloaded subset")
 	}
 }
 

@@ -417,13 +417,19 @@ func (b *Backend) FeasibleWith(c, ti int) bool {
 // ProbeUtil implements partition.Backend: the own-level load of core c
 // with task ti added, +Inf when the extended subset fails AMC-rtb.
 // The worst flag is ignored — the load metric has only one reading.
+// The load sum is exact whenever the probe is feasible, so it is its
+// own certified floor: the margin prune compares it before running the
+// response-time fixed points, and a pruned call leaves the probe
+// scratch untouched.
 //
 //mc:allocfree delegates to the scratch-based incremental probe
-func (b *Backend) ProbeUtil(c, ti int, worst bool) float64 {
-	if !b.probe(c, ti) {
+func (b *Backend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64 {
+	b.ensure(c)
+	load := b.loads[c] + b.ts.Tasks[ti].MaxUtil()
+	if load-base >= margin || !b.probe(c, ti) {
 		return math.Inf(1)
 	}
-	return b.loads[c] + b.ts.Tasks[ti].MaxUtil()
+	return load
 }
 
 // KeepProbe implements partition.Backend: it snapshots the most recent
@@ -442,15 +448,6 @@ func (b *Backend) KeepProbe() {
 	b.kHI = append(b.kHI[:0], b.pHI...)
 	b.kTR = append(b.kTR[:0], b.pTR...)
 	b.kOK = true
-}
-
-// UtilFloor implements partition.Backend: the load metric is exact
-// whenever the probe is feasible, so the floor is the probe value
-// itself (without the feasibility check).
-//
-//mc:allocfree two reads and an add
-func (b *Backend) UtilFloor(c, ti int) float64 {
-	return b.loads[c] + b.ts.Tasks[ti].MaxUtil()
 }
 
 // Place implements partition.Backend. A placement that matches the

@@ -1,6 +1,7 @@
 package fpamc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -188,7 +189,7 @@ func TestEDFVDvsFPAcceptance(t *testing.T) {
 
 // TestBackendProtocol exercises the partition.Backend surface of the
 // AMC-rtb backend directly: identity, buffer reuse across Reset, the
-// no-op KeepProbe, and report contents.
+// kept-probe commit, and report contents.
 func TestBackendProtocol(t *testing.T) {
 	b := new(Backend)
 	if b.Name() != BackendName || b.MaxLevels() != 2 {
@@ -204,17 +205,14 @@ func TestBackendProtocol(t *testing.T) {
 		if !b.FeasibleWith(0, 0) {
 			t.Fatal("empty core rejects a light task")
 		}
-		u := b.ProbeUtil(0, 0, false)
-		b.KeepProbe() // no-op by contract: probes hold no state
+		u := b.ProbeUtil(0, 0, false, 0, math.Inf(1))
+		b.KeepProbe() // snapshot for the probed Place below
 		b.Place(0, 0, true)
 		if got := b.OwnLoad(0); got != u {
 			t.Errorf("round %d: OwnLoad %v != probed %v", round, got, u)
 		}
 		if b.CoreUtil(0, true) != b.CoreUtil(0, false) {
 			t.Error("amcrtb CoreUtil should not depend on the worst flag")
-		}
-		if floor := b.UtilFloor(1, 1); floor != b.ProbeUtil(1, 1, false) {
-			t.Error("UtilFloor should be exact for the load-sum metric")
 		}
 		var ci partition.CoreInfo
 		ci.Lambda = []float64{0.5} // must be cleared by ReportInto

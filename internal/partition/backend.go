@@ -18,8 +18,8 @@ import (
 // allocation shell.
 //
 // The protocol mirrors the allocator's allocation-free discipline:
-// FeasibleWith, ProbeUtil and UtilFloor are virtual (they must not
-// mutate committed core state), every method passes only scalars
+// FeasibleWith and ProbeUtil are virtual (they must not mutate
+// committed core state), every method passes only scalars
 // across the interface boundary, and implementations are expected to
 // reuse internal storage so steady-state runs stay free of heap
 // allocations where the analysis permits it (the EDF-VD backend
@@ -30,10 +30,10 @@ import (
 // Call order per run: Reset (dimensions), Prepare (task set), Begin
 // (clear cores), then any interleaving of the virtual queries with
 // Place / Remove commits, then CoreUtil / ReportInto reads. KeepProbe
-// marks the analysis of the most recent ProbeUtil call as the winning
-// candidate's; a following Place with probed=true commits exactly that
-// cached analysis (the caller guarantees the (core, task) pair
-// matches).
+// marks the analysis of the most recent unpruned ProbeUtil call as the
+// winning candidate's; a following Place with probed=true commits
+// exactly that cached analysis (the caller guarantees the (core, task)
+// pair matches).
 //
 // Incremental delta contract (DESIGN.md Section 14). Backends maintain
 // per-core analysis state under delta updates: Place folds one task
@@ -80,20 +80,23 @@ type Backend interface {
 	// ProbeUtil returns the core-utilization metric of core c with
 	// task ti added (Eq. 15's U^{Psi_c + tau_i}), or +Inf when the
 	// extended subset is infeasible. worst selects the literal Eq. 9
-	// reading where the backend distinguishes the two. The probe's
-	// analysis may be cached for KeepProbe.
-	ProbeUtil(c, ti int, worst bool) float64
+	// reading where the backend distinguishes the two.
+	//
+	// base and margin bound the probe for Algorithm 1's
+	// minimum-increment search: when the backend's certified lower
+	// bound floor on the answer (for either reading) satisfies
+	// floor - base >= margin, the probe cannot beat the incumbent and
+	// ProbeUtil returns +Inf without running the analysis, leaving the
+	// previous probe's cached analysis in place. Any unpruned answer is
+	// bitwise the margin = +Inf answer; callers that want the plain
+	// probe pass base 0 and margin +Inf. An unpruned probe's analysis
+	// may be cached for KeepProbe.
+	ProbeUtil(c, ti int, worst bool, base, margin float64) float64
 
-	// KeepProbe marks the analysis of the most recent ProbeUtil call
-	// as the winning candidate's, to be committed by the next Place
-	// with probed=true.
+	// KeepProbe marks the analysis of the most recent unpruned
+	// ProbeUtil call as the winning candidate's, to be committed by the
+	// next Place with probed=true.
 	KeepProbe()
-
-	// UtilFloor returns a certified lower bound on ProbeUtil(c, ti,
-	// worst) for either reading, used to prune hopeless probes
-	// (Algorithm 1's minimum-increment search); -Inf when no cheap
-	// bound exists.
-	UtilFloor(c, ti int) float64
 
 	// Place commits task ti to core c. probed reports that the winning
 	// KeepProbe analysis corresponds to exactly this (c, ti) pair and
@@ -102,10 +105,9 @@ type Backend interface {
 
 	// Remove deletes committed task ti from core c: the removal delta
 	// of the online admit/release protocol. Implementations undo the
-	// placement exactly — bitwise — either through an O(1) snapshot
-	// restore (the most recent Place) or by scheduling the
-	// exact-recompute fallback over the core's surviving members.
-	// Removing a task that is not committed on c panics.
+	// placement exactly — bitwise — by scheduling the exact-recompute
+	// fallback over the core's surviving members, which the next query
+	// on c runs. Removing a task that is not committed on c panics.
 	Remove(c, ti int)
 
 	// Reanalyze discards core c's incremental analysis state and

@@ -189,15 +189,20 @@ func (b *edfvdBackend) FeasibleWith(c, ti int) bool {
 }
 
 // ProbeUtil implements Backend: the core utilization U^{Psi_c + tau_i}
-// of Eq. 15, +Inf when the extended subset is infeasible. The analysis
-// runs in O(K) from the cached sums — the overload fast-reject opens
-// EvalWith itself — with no tentative mutation and no undo, and lands
-// in probeEval for KeepProbe.
+// of Eq. 15, +Inf when the extended subset is infeasible or the probe
+// is pruned. State.ProbeBoundedWith fuses the certified Eq. 9 floor
+// prune (State.UtilFloorWith) with the analysis, sharing the min term
+// and the overload fast-reject, so the whole probe runs in O(K) from
+// the cached sums with no tentative mutation and no undo. An unpruned
+// analysis lands in probeEval for KeepProbe; a pruned one leaves
+// probeEval untouched.
 //
 //mc:allocfree O(K) scalar analysis into reusable scratch
-func (b *edfvdBackend) ProbeUtil(c, ti int, worst bool) float64 {
+func (b *edfvdBackend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64 {
 	b.ensure(c)
-	b.states[c].EvalWith(b.crit[ti], b.urow(ti), &b.probeEval)
+	if !b.states[c].ProbeBoundedWith(b.crit[ti], b.urow(ti), base, margin, &b.probeEval) {
+		return math.Inf(1)
+	}
 	if worst {
 		return b.probeEval.CoreUtilWorst
 	}
@@ -209,16 +214,6 @@ func (b *edfvdBackend) ProbeUtil(c, ti int, worst bool) float64 {
 //mc:allocfree copies three scalars
 func (b *edfvdBackend) KeepProbe() {
 	b.keepEval = b.probeEval
-}
-
-// UtilFloor implements Backend via the certified Eq. 9 lower bound of
-// State.UtilFloorWith; conservative, so no potential winner of the
-// minimum-increment search is ever pruned away.
-//
-//mc:allocfree O(1) scalar reads
-func (b *edfvdBackend) UtilFloor(c, ti int) float64 {
-	b.ensure(c)
-	return b.states[c].UtilFloorWith(b.crit[ti], b.urow(ti))
 }
 
 // Place implements Backend: the O(1)-per-level delta commit. With
@@ -239,116 +234,6 @@ func (b *edfvdBackend) Place(c, ti int, probed bool) {
 	} else {
 		b.aOK[c] = false
 	}
-}
-
-// pickFFD is the concrete-type fast path of the allocator's FFD scan:
-// the candidate's criticality and utilization row are resolved once
-// and every per-core query is a direct call, so the ensure guard and
-// the Eq. 4 accept inline into the loop. The verdict sequence is
-// exactly that of m interface FeasibleWith calls.
-//
-//mc:allocfree the devirtualized FFD scan
-func (b *edfvdBackend) pickFFD(ti int) int {
-	crit := b.crit[ti]
-	u := b.urow(ti)
-	for c := 0; c < b.m; c++ {
-		b.ensure(c)
-		s := &b.states[c]
-		if s.SimpleFeasibleWith(crit, u) || s.FeasibleWith(crit, u) {
-			return c
-		}
-	}
-	return -1
-}
-
-// pickBFD is the concrete-type fast path of the allocator's BFD scan:
-// ownLoad holds the allocator's cached Eq. 4 loads, and the
-// load-hysteresis gate runs before the analysis exactly as in the
-// interface-typed loop.
-//
-//mc:allocfree the devirtualized BFD scan
-func (b *edfvdBackend) pickBFD(ownLoad []float64, ti int) int {
-	crit := b.crit[ti]
-	u := b.urow(ti)
-	best := -1
-	var bestLoad float64
-	for c := 0; c < b.m; c++ {
-		if load := ownLoad[c]; best < 0 || load > bestLoad+mc.Eps {
-			b.ensure(c)
-			s := &b.states[c]
-			if s.SimpleFeasibleWith(crit, u) || s.FeasibleWith(crit, u) {
-				best, bestLoad = c, load
-			}
-		}
-	}
-	return best
-}
-
-// pickWFD is pickBFD with the minimum-load preference.
-//
-//mc:allocfree the devirtualized WFD scan
-func (b *edfvdBackend) pickWFD(ownLoad []float64, ti int) int {
-	crit := b.crit[ti]
-	u := b.urow(ti)
-	best := -1
-	var bestLoad float64
-	for c := 0; c < b.m; c++ {
-		if load := ownLoad[c]; best < 0 || load < bestLoad-mc.Eps {
-			b.ensure(c)
-			s := &b.states[c]
-			if s.SimpleFeasibleWith(crit, u) || s.FeasibleWith(crit, u) {
-				best, bestLoad = c, load
-			}
-		}
-	}
-	return best
-}
-
-// pickMinIncrement is the concrete-type fast path of Algorithm 1's
-// probe loop: utils holds the allocator's cached per-core Eq. 9
-// readings, worst selects the Eq. 9 literal reading. Each core runs
-// the fused floor-prune-plus-probe of State.ProbeBoundedWith, whose
-// comparisons are bitwise those of the interface-typed UtilFloor and
-// ProbeUtil pair, and the winning probe's analysis lands in keepEval
-// (the KeepProbe effect) for the ensuing Place. Returns -1 when no
-// core is feasible.
-//
-//mc:allocfree the devirtualized probe loop of Algorithm 1
-func (b *edfvdBackend) pickMinIncrement(utils []float64, ti int, worst bool) int {
-	crit := b.crit[ti]
-	u := b.urow(ti)
-	best := -1
-	bestInc := math.Inf(1)
-	margin := math.Inf(1) // bestInc - mc.Eps, tracked with bestInc
-	for c := 0; c < b.m; c++ {
-		b.ensure(c)
-		s := &b.states[c]
-		if !s.ProbeBoundedWith(crit, u, utils[c], margin, &b.probeEval) {
-			continue // certified floor prune: cannot beat the incumbent
-		}
-		pu := b.probeEval.CoreUtil
-		if worst {
-			pu = b.probeEval.CoreUtilWorst
-		}
-		if math.IsInf(pu, 1) {
-			continue // infeasible on this core
-		}
-		if inc := pu - utils[c]; inc < bestInc-mc.Eps {
-			best, bestInc = c, inc
-			margin = bestInc - mc.Eps
-			b.keepEval = b.probeEval
-		}
-	}
-	return best
-}
-
-// placeLoad is Place followed by the Eq. 4 own-load read on direct
-// calls — the devirtualized commit step of the allocator's place.
-//
-//mc:allocfree delta adds and a scalar read
-func (b *edfvdBackend) placeLoad(c, ti int, probed bool) float64 {
-	b.Place(c, ti, probed)
-	return b.states[c].OwnLoad()
 }
 
 // Remove implements Backend: O(1) — the task leaves the member list

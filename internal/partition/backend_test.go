@@ -1,11 +1,14 @@
 package partition_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"catpa/internal/edfvd"
 	"catpa/internal/fpamc"
 	"catpa/internal/partition"
+	"catpa/internal/taskgen"
 )
 
 func TestValidBackendName(t *testing.T) {
@@ -103,4 +106,132 @@ func TestNewWithBackend(t *testing.T) {
 		}
 	}()
 	partition.NewWithBackend(2, 2, nil)
+}
+
+// TestProbeUtilBounded pins the bounded ProbeUtil contract on both
+// backends, against each backend's certified floor computed outside
+// the backend — the EDF-VD State.UtilFloorWith of a replayed core, the
+// AMC-rtb load sum, which is exact whenever the probe is feasible:
+//
+//   - the probe returns +Inf exactly when floor - base >= margin;
+//   - an unpruned answer is bitwise the margin = +Inf answer;
+//   - a pruned probe leaves the kept probe alone: after an unpruned
+//     probe, pruned probes of another core — before and after
+//     KeepProbe — do not change what Place(..., true) commits.
+func TestProbeUtilBounded(t *testing.T) {
+	const m, k = 4, 2
+	cfg := popConfig(m, k)
+	ts := taskgen.GenerateIndexed(&cfg, 29, 0)
+	inf := math.Inf(1)
+	row := make([]float64, k)
+	cases := []struct {
+		name  string
+		floor func(be partition.Backend, members []int, c, ti int) float64
+	}{
+		{partition.DefaultBackend, func(_ partition.Backend, members []int, _, ti int) float64 {
+			var s edfvd.State
+			s.Reset(k)
+			for _, tj := range members {
+				ts.Tasks[tj].UtilRow(k, row)
+				s.Add(ts.Tasks[tj].Crit, row)
+			}
+			ts.Tasks[ti].UtilRow(k, row)
+			return s.UtilFloorWith(ts.Tasks[ti].Crit, row)
+		}},
+		{fpamc.BackendName, func(be partition.Backend, _ []int, c, ti int) float64 {
+			return be.OwnLoad(c) + ts.Tasks[ti].MaxUtil()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// setup places the first half of the set round-robin where
+			// feasible and returns the backend with each core's members
+			// in placement order; the second half are the candidates.
+			setup := func() (partition.Backend, [][]int) {
+				be, err := partition.NewBackend(tc.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				be.Reset(m, k)
+				be.Prepare(ts)
+				be.Begin()
+				members := make([][]int, m)
+				for ti := 0; ti < ts.Len()/2; ti++ {
+					if c := ti % m; be.FeasibleWith(c, ti) {
+						be.Place(c, ti, false)
+						members[c] = append(members[c], ti)
+					}
+				}
+				return be, members
+			}
+			be, members := setup()
+			pruned, kept := 0, 0
+			for ti := ts.Len() / 2; ti < ts.Len(); ti++ {
+				for c := 0; c < m; c++ {
+					floor := tc.floor(be, members[c], c, ti)
+					for _, worst := range []bool{false, true} {
+						for _, base := range []float64{0, be.CoreUtil(c, worst)} {
+							full := be.ProbeUtil(c, ti, worst, base, inf)
+							d := floor - base
+							for _, margin := range []float64{inf, math.Nextafter(d, inf), d, d - 1e-3, d + 1e-3, 0} {
+								got := be.ProbeUtil(c, ti, worst, base, margin)
+								want := full
+								if d >= margin {
+									want = inf
+									pruned++
+								} else {
+									kept++
+								}
+								if math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("core %d task %d worst=%v base=%v margin=%v: ProbeUtil %v, want %v (floor %v, unbounded %v)",
+										c, ti, worst, base, margin, got, want, floor, full)
+								}
+							}
+						}
+					}
+				}
+			}
+			if pruned == 0 || kept == 0 {
+				t.Fatalf("degenerate sweep: %d pruned, %d unpruned probes", pruned, kept)
+			}
+
+			// The kept probe: find a candidate feasible on core 0 and
+			// probe it there, then prune probes of it on core 1.
+			ti := -1
+			for cand := ts.Len() / 2; cand < ts.Len(); cand++ {
+				if !math.IsInf(be.ProbeUtil(0, cand, false, 0, inf), 1) {
+					ti = cand
+					break
+				}
+			}
+			if ti < 0 {
+				t.Fatal("no candidate fits core 0")
+			}
+			ref, _ := setup()
+			ref.Place(0, ti, false)
+
+			u := be.ProbeUtil(0, ti, false, 0, inf)
+			prune := tc.floor(be, members[1], 1, ti)
+			if got := be.ProbeUtil(1, ti, false, 0, prune); !math.IsInf(got, 1) {
+				t.Fatalf("probe at margin = floor not pruned: %v", got)
+			}
+			be.KeepProbe()
+			be.ProbeUtil(1, ti, true, 0, prune)
+			be.Place(0, ti, true)
+			if got := be.CoreUtil(0, false); got != u {
+				t.Errorf("committed CoreUtil %v, kept probe %v", got, u)
+			}
+			for _, worst := range []bool{false, true} {
+				if got, want := be.CoreUtil(0, worst), ref.CoreUtil(0, worst); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("worst=%v: kept-probe commit %v, unprobed commit %v", worst, got, want)
+				}
+			}
+			var gi, wi partition.CoreInfo
+			be.ReportInto(0, &gi)
+			ref.ReportInto(0, &wi)
+			if gi.Util != wi.Util || gi.FeasibleK != wi.FeasibleK {
+				t.Errorf("kept-probe report (%v, %d), unprobed (%v, %d)", gi.Util, gi.FeasibleK, wi.Util, wi.FeasibleK)
+			}
+		})
+	}
 }

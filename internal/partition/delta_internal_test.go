@@ -90,7 +90,7 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 		if got, want := b.FeasibleWith(0, ti), ref.FeasibleWith(0, ti); got != want {
 			t.Fatalf("replayed FeasibleWith(%d) = %v, reference %v", ti, got, want)
 		}
-		gp, wp := b.ProbeUtil(0, ti, false), ref.ProbeUtil(0, ti, false)
+		gp, wp := b.ProbeUtil(0, ti, false, 0, math.Inf(1)), ref.ProbeUtil(0, ti, false, 0, math.Inf(1))
 		if gp != wp && !(math.IsInf(gp, 1) && math.IsInf(wp, 1)) {
 			t.Fatalf("replayed ProbeUtil(%d) = %v, reference %v", ti, gp, wp)
 		}
@@ -132,8 +132,8 @@ func TestEdfvdAddMatchesProbe(t *testing.T) {
 	b.Prepare(ts)
 	b.Begin()
 	for ti := 0; ti < 4; ti++ {
-		probed := b.ProbeUtil(0, ti, false)
-		probedW := b.ProbeUtil(0, ti, true)
+		probed := b.ProbeUtil(0, ti, false, 0, math.Inf(1))
+		probedW := b.ProbeUtil(0, ti, true, 0, math.Inf(1))
 		if math.IsInf(probed, 1) {
 			t.Fatalf("task %d rejected on a hand-schedulable core", ti)
 		}

@@ -18,10 +18,7 @@ import (
 // the reference side of the incremental-vs-batch differential gates —
 // by the Backend contract's bit-identity invariant, a Partitioner
 // driving this wrapper must produce bitwise the results of one driving
-// the unwrapped backend's O(1) delta path. The wrapper also hides the
-// backend's concrete type, so the incremental side additionally
-// exercises the allocator's devirtualized fast paths against the
-// generic interface loops.
+// the unwrapped backend's O(1) delta path.
 type reanalyzingBackend struct {
 	partition.Backend
 }
@@ -37,9 +34,8 @@ func (r *reanalyzingBackend) Remove(c, ti int) {
 }
 
 // agreementPair returns two Partitioners over fresh instances of the
-// named backend: the incremental one (delta path, concrete fast paths
-// where the allocator has them) and the reference one (recompute
-// forced after every commit, interface paths only).
+// named backend: the incremental one (delta path) and the reference
+// one (recompute forced after every commit).
 func agreementPair(t *testing.T, name string, m, k int) (inc, ref *partition.Partitioner) {
 	t.Helper()
 	be1, err := partition.NewBackend(name)
@@ -117,10 +113,10 @@ func checkIncrementalAgreement(t *testing.T, ctx string, name string, ts *mc.Tas
 // FuzzIncrementalAgreement is the differential fuzz wall of the
 // incremental delta contract: on random task sets, for all five
 // schemes under both analysis backends, the incremental path (O(1)
-// Place/Remove deltas, concrete fast paths) and the full-recompute
-// path (Reanalyze forced after every commit) must produce bit-identical
-// verdicts, placements, per-core summaries and metrics — through batch
-// runs and through an admit/release/re-admit session.
+// Place/Remove deltas) and the full-recompute path (Reanalyze forced
+// after every commit) must produce bit-identical verdicts, placements,
+// per-core summaries and metrics — through batch runs and through an
+// admit/release/re-admit session.
 func FuzzIncrementalAgreement(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(25), uint8(0))
 	f.Add(int64(20160814), uint8(3), uint8(40), uint8(1))

@@ -32,14 +32,6 @@ type allocator struct {
 	m, k int
 	be   Backend
 
-	// ebe is be when it is the default EDF-VD backend, else nil: the
-	// concrete-type shortcut behind the devirtualized pick loops, which
-	// resolve the candidate's row once per task and query the per-core
-	// states with direct (inlinable) calls. Every fast-path loop
-	// performs exactly the interface-typed loop's float comparisons, so
-	// the picks are identical.
-	ebe *edfvdBackend
-
 	// Per-run inputs.
 	ts     *mc.TaskSet
 	scheme Scheme
@@ -181,12 +173,8 @@ func (a *allocator) place(ti, c int) {
 	prev := a.utils[c]
 	probed := a.probeOK
 	a.probeOK = false
-	if eb := a.ebe; eb != nil {
-		a.ownLoad[c] = eb.placeLoad(c, ti, probed)
-	} else {
-		a.be.Place(c, ti, probed)
-		a.ownLoad[c] = a.be.OwnLoad(c)
-	}
+	a.be.Place(c, ti, probed)
+	a.ownLoad[c] = a.be.OwnLoad(c)
 	a.tasks[c] = append(a.tasks[c], ti)
 	a.assign[ti] = c
 	if probed || a.opts.trace() {
@@ -273,9 +261,6 @@ func (a *allocator) pickClassic(s Scheme, ti int) int {
 //
 //mc:allocfree the FFD scan
 func (a *allocator) pickFFD(ti int) int {
-	if eb := a.ebe; eb != nil {
-		return eb.pickFFD(ti)
-	}
 	for c := 0; c < a.m; c++ {
 		if a.be.FeasibleWith(c, ti) {
 			return c
@@ -290,9 +275,6 @@ func (a *allocator) pickFFD(ti int) int {
 //
 //mc:allocfree the BFD scan
 func (a *allocator) pickBFD(ti int) int {
-	if eb := a.ebe; eb != nil {
-		return eb.pickBFD(a.ownLoad, ti)
-	}
 	best := -1
 	var bestLoad float64
 	for c := 0; c < a.m; c++ {
@@ -310,9 +292,6 @@ func (a *allocator) pickBFD(ti int) int {
 //
 //mc:allocfree the WFD scan
 func (a *allocator) pickWFD(ti int) int {
-	if eb := a.ebe; eb != nil {
-		return eb.pickWFD(a.ownLoad, ti)
-	}
 	best := -1
 	var bestLoad float64
 	for c := 0; c < a.m; c++ {
@@ -429,11 +408,13 @@ func (a *allocator) keepProbe() {
 }
 
 // utilWith returns the backend's core utilization with task ti added
-// (Eq. 15), +Inf when the extended subset is infeasible.
+// (Eq. 15), +Inf when the extended subset is infeasible or — with a
+// finite margin — when the backend's certified floor shows the probe
+// cannot beat an incumbent increment of margin over base.
 //
 //mc:allocfree delegates to the backend probe
-func (a *allocator) utilWith(c, ti int) float64 {
-	return a.be.ProbeUtil(c, ti, a.opts.eq9Literal())
+func (a *allocator) utilWith(c, ti int, base, margin float64) float64 {
+	return a.be.ProbeUtil(c, ti, a.opts.eq9Literal(), base, margin)
 }
 
 // pickMinIncrement probes every core (lines 5-11 of Algorithm 1) and
@@ -443,26 +424,16 @@ func (a *allocator) utilWith(c, ti int) float64 {
 //
 //mc:allocfree the probe loop of Algorithm 1
 func (a *allocator) pickMinIncrement(ti int) int {
-	if eb := a.ebe; eb != nil {
-		// The winning probe's analysis is already in keepEval; flag it
-		// for place exactly as the per-improvement keepProbe would have.
-		c := eb.pickMinIncrement(a.utils, ti, a.opts.eq9Literal())
-		a.probeOK = c >= 0
-		return c
-	}
 	best := -1
 	bestInc := math.Inf(1)
 	for c := 0; c < a.m; c++ {
-		// Certified pruning: if even the utilization floor of the
-		// probed core cannot beat the incumbent increment (under the
-		// selection's Eps hysteresis), the full analysis is pointless.
-		// The floor is conservative, so no potential winner is skipped.
-		if floor := a.be.UtilFloor(c, ti); floor-a.utils[c] >= bestInc-mc.Eps {
-			continue
-		}
-		u := a.utilWith(c, ti)
+		// The margin lets the backend skip the full analysis when even
+		// its certified utilization floor cannot beat the incumbent
+		// increment under the selection's Eps hysteresis; the floor is
+		// conservative, so no potential winner is pruned.
+		u := a.utilWith(c, ti, a.utils[c], bestInc-mc.Eps)
 		if math.IsInf(u, 1) {
-			continue // infeasible on this core
+			continue // infeasible on this core, or pruned
 		}
 		if inc := u - a.utils[c]; inc < bestInc-mc.Eps {
 			best, bestInc = c, inc
@@ -483,7 +454,7 @@ func (a *allocator) pickLeastLoaded(ti int) int {
 		if a.utils[c] >= bestU-mc.Eps {
 			continue
 		}
-		if math.IsInf(a.utilWith(c, ti), 1) {
+		if math.IsInf(a.utilWith(c, ti, 0, math.Inf(1)), 1) {
 			continue
 		}
 		best, bestU = c, a.utils[c]
@@ -499,7 +470,7 @@ func (a *allocator) pickLeastLoaded(ti int) int {
 //mc:allocfree the NoProbe ablation scan
 func (a *allocator) pickFirstFeasible(ti int) int {
 	for c := 0; c < a.m; c++ {
-		if !math.IsInf(a.utilWith(c, ti), 1) {
+		if !math.IsInf(a.utilWith(c, ti, 0, math.Inf(1)), 1) {
 			a.keepProbe()
 			return c
 		}

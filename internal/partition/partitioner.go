@@ -36,7 +36,6 @@ func NewWithBackend(m, k int, be Backend) *Partitioner {
 	}
 	p := &Partitioner{}
 	p.a.be = be
-	p.a.ebe, _ = be.(*edfvdBackend)
 	p.a.reset(m, k)
 	return p
 }

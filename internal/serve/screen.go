@@ -19,11 +19,11 @@ const (
 	ScreenReject
 )
 
-// Screen is the daemon's degraded-tier admission test: a probe-style
-// O(N·K) utilization screen in the spirit of the edfvd probe screens
-// (UtilFloorProbed and friends), built only from conditions that are
-// *necessary* for per-core schedulability under every registered
-// backend. It therefore only ever rejects sets the full analysis
+// Screen is the daemon's degraded-tier admission test: an O(N·K)
+// utilization screen in the spirit of the edfvd State's certified
+// utilization floor and overload reject, built only from conditions
+// that are *necessary* for per-core schedulability under every
+// registered backend. It therefore only ever rejects sets the full analysis
 // would reject too — the load-shedding tier can answer "rejected"
 // soundly, and must answer "uncertain" otherwise. The differential
 // screen-soundness test (screen_test.go) proves the subset property
