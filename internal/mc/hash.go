@@ -2,7 +2,7 @@ package mc
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // HashQuantum is the grid the canonical task-set hash quantizes every
@@ -41,7 +41,7 @@ func TaskSetHash(ts *TaskSet) uint64 {
 	for i := range ts.Tasks {
 		digests[i] = taskHash(&ts.Tasks[i])
 	}
-	sort.Slice(digests, func(i, j int) bool { return digests[i] < digests[j] })
+	slices.Sort(digests)
 	h := uint64(fnvOffset)
 	for _, d := range digests {
 		h = fnvMix(h, d)

@@ -16,6 +16,27 @@ func hashFixture(t *testing.T) *TaskSet {
 	)
 }
 
+// TestTaskSetHashGolden pins the hash values: the admission daemon
+// sends them to clients as task_set_hash, so any change to the digest
+// is a wire-format change. The second set is the README's example
+// request.
+func TestTaskSetHashGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		ts   *TaskSet
+		want uint64
+	}{
+		{"empty", nil, 0xcbf29ce484222325},
+		{"fixture", hashFixture(t), 0x4e823f87863e3ef8},
+		{"readme", NewTaskSet(MustTask(1, "flight_ctl", 20, 3, 7), MustTask(2, "telemetry", 100, 30)), 0xc73987f2dbd83eac},
+	}
+	for _, tc := range cases {
+		if got := TaskSetHash(tc.ts); got != tc.want {
+			t.Errorf("%s: TaskSetHash = %016x, want %016x", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestTaskSetHashPermutationInvariant(t *testing.T) {
 	ts := hashFixture(t)
 	want := TaskSetHash(ts)

@@ -149,6 +149,10 @@ func normalize(req *Request, maxTasks, maxCores int) (*admitJob, error) {
 	if maxK := be.MaxLevels(); maxK > 0 && k > maxK {
 		return nil, fmt.Errorf("backend %q supports at most K=%d levels, got %d", backend, maxK, k)
 	}
+	// The backend's own name, not the request's copy: the name goes into
+	// the verdict-cache key, and a decoded string shares the memory of
+	// the whole request body.
+	backend = be.Name()
 	names := req.Schemes
 	if len(names) == 0 {
 		names = []string{partition.CATPA.String()}

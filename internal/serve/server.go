@@ -274,8 +274,11 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
+	if err == nil {
+		err = decodeRequest(body, &req)
+	}
+	if err != nil {
 		s.met.badReq.Inc()
 		writeJSON(w, http.StatusBadRequest, &Response{
 			Verdict: VerdictUncertain,

@@ -167,22 +167,34 @@ func TestAdmitValidationErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		req  Request
+		body string // sent verbatim instead of req when set
 		want string
 	}{
-		{"empty set", Request{TaskSet: mc.NewTaskSet(), M: 4}, "at least one task"},
-		{"nil set", Request{M: 4}, "at least one task"},
-		{"too many tasks", Request{TaskSet: genSet(t, 4, 2, 31, 0.5, 5), M: 4}, "at most 30"},
-		{"m zero", Request{TaskSet: ts, M: 0}, "m must be in 1..16"},
-		{"m huge", Request{TaskSet: ts, M: 64}, "m must be in 1..16"},
-		{"k below set", Request{TaskSet: ts, M: 4, K: 1}, "below the task set's criticality"},
-		{"bad backend", Request{TaskSet: ts, M: 4, Backend: "rta++"}, "unknown backend"},
-		{"amcrtb too many levels", Request{TaskSet: k4, M: 4, Backend: "amcrtb"}, "at most K=2"},
-		{"bad scheme", Request{TaskSet: ts, M: 4, Schemes: []string{"ZFD"}}, "unknown scheme"},
-		{"negative timeout", Request{TaskSet: ts, M: 4, TimeoutMS: -1}, "non-negative"},
+		{"empty set", Request{TaskSet: mc.NewTaskSet(), M: 4}, "", "at least one task"},
+		{"nil set", Request{M: 4}, "", "at least one task"},
+		{"too many tasks", Request{TaskSet: genSet(t, 4, 2, 31, 0.5, 5), M: 4}, "", "at most 30"},
+		{"m zero", Request{TaskSet: ts, M: 0}, "", "m must be in 1..16"},
+		{"m huge", Request{TaskSet: ts, M: 64}, "", "m must be in 1..16"},
+		{"k below set", Request{TaskSet: ts, M: 4, K: 1}, "", "below the task set's criticality"},
+		{"bad backend", Request{TaskSet: ts, M: 4, Backend: "rta++"}, "", "unknown backend"},
+		{"amcrtb too many levels", Request{TaskSet: k4, M: 4, Backend: "amcrtb"}, "", "at most K=2"},
+		{"bad scheme", Request{TaskSet: ts, M: 4, Schemes: []string{"ZFD"}}, "", "unknown scheme"},
+		{"negative timeout", Request{TaskSet: ts, M: 4, TimeoutMS: -1}, "", "non-negative"},
+		// The task set is validated once, by normalize, not while the
+		// body is decoded.
+		{"decreasing wcet", Request{}, `{"m":4,"task_set":{"tasks":[{"id":1,"period":10,"crit":2,"wcet":[3,2]}]}}`, "invalid task_set: task 1: WCET vector decreases"},
+		{"duplicate field", Request{}, `{"m":4,"m":2}`, "bad request body: duplicate field"},
+		{"trailing data", Request{}, `{"m":4} {}`, "bad request body: trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, resp := postAdmit(t, hs.Client(), hs.URL, &tc.req)
+			var status int
+			var resp *Response
+			if tc.body != "" {
+				status, resp = postRaw(t, hs.Client(), hs.URL, []byte(tc.body))
+			} else {
+				status, resp = postAdmit(t, hs.Client(), hs.URL, &tc.req)
+			}
 			if status != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400", status)
 			}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the tier-2 quality gate: formatting, vet, the domain-aware
 # mclint analyzer, the race-enabled test suite, and a short fuzz pass
-# over the schedulability and generator invariants. Everything here uses
-# only the Go toolchain; there are no external dependencies.
+# over the schedulability and generator invariants and the admission
+# request decoder. Everything here uses only the Go toolchain; there
+# are no external dependencies.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target fuzz budget (default 10s; "0s" skips fuzzing)
@@ -108,6 +109,7 @@ if [[ "$FUZZTIME" != "0s" && "$FUZZTIME" != "0" ]]; then
     go test ./internal/taskgen -run='^$' -fuzz='^FuzzCDFSource$' -fuzztime="$FUZZTIME"
     go test ./internal/fpamc -run='^$' -fuzz='^FuzzBackendAgreement$' -fuzztime="$FUZZTIME"
     go test ./internal/partition -run='^$' -fuzz='^FuzzIncrementalAgreement$' -fuzztime="$FUZZTIME"
+    go test ./internal/serve -run='^$' -fuzz='^FuzzAdmitDecode$' -fuzztime="$FUZZTIME"
 fi
 
 step "OK"
