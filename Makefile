@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test ./internal/taskgen -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/taskgen -run='^$$' -fuzz='^FuzzCDFSource$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fpamc -run='^$$' -fuzz='^FuzzBackendAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/fpamc -run='^$$' -fuzz='^FuzzAMCProbeAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzIncrementalAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzAdmitDecode$$' -fuzztime=$(FUZZTIME)
 

@@ -369,7 +369,6 @@ func BenchmarkSimulateCoreFP(b *testing.B) {
 func BenchmarkOnlineEvent(b *testing.B) {
 	cfg := catpa.DefaultGenConfig()
 	ts := catpa.GenerateTaskSet(&cfg, 2016, 0)
-	n := len(ts.Tasks)
 
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
@@ -380,22 +379,39 @@ func BenchmarkOnlineEvent(b *testing.B) {
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		p := catpa.NewPartitioner(8, 4)
-		p.StartIncremental(ts, catpa.CATPA, nil)
-		for ti := 0; ti < n; ti++ {
-			p.Admit(ti)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ti := i % n
-			if p.Assigned(ti) < 0 {
-				continue
-			}
-			p.Release(ti)
-			p.Admit(ti)
-		}
+		benchSessionEvents(b, catpa.NewPartitioner(8, 4), ts)
 	})
+	// The AMC-rtb backend is dual-criticality: the same generator at
+	// K = 2.
+	cfg.K = 2
+	dual := catpa.GenerateTaskSet(&cfg, 2016, 0)
+	b.Run("incremental-amcrtb", func(b *testing.B) {
+		be, err := catpa.NewAnalysisBackend(catpa.FPBackendName)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSessionEvents(b, catpa.NewPartitionerWithBackend(8, 2, be), dual)
+	})
+}
+
+// benchSessionEvents admits all of ts on a CA-TPA session of p, then
+// times release+admit events cycling over the admitted tasks.
+func benchSessionEvents(b *testing.B, p *catpa.Partitioner, ts *catpa.TaskSet) {
+	b.ReportAllocs()
+	n := len(ts.Tasks)
+	p.StartIncremental(ts, catpa.CATPA, nil)
+	for ti := 0; ti < n; ti++ {
+		p.Admit(ti)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ti := i % n
+		if p.Assigned(ti) < 0 {
+			continue
+		}
+		p.Release(ti)
+		p.Admit(ti)
+	}
 }
 
 // BenchmarkOnlineScenario times the end-to-end online pipeline — CDF

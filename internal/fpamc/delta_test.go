@@ -2,6 +2,7 @@ package fpamc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"catpa/internal/mc"
@@ -232,5 +233,227 @@ func TestWarmStartGateRejectsTinyBudgets(t *testing.T) {
 	b.Prepare(handSet())
 	if !b.warmOK {
 		t.Error("warm-start gate rejects a comfortably bounded set")
+	}
+}
+
+// coreSnapshot is a copy of core c's committed incremental state.
+type coreSnapshot struct {
+	cores, ranks   []int
+	lo, hi, tr     []float64
+	load, lu1, lu2 float64
+	allOK          bool
+}
+
+func snapshotCore(b *Backend, c int) coreSnapshot {
+	return coreSnapshot{
+		cores: append([]int(nil), b.cores[c]...),
+		ranks: append([]int(nil), b.ranks[c]...),
+		lo:    append([]float64(nil), b.rLO[c]...),
+		hi:    append([]float64(nil), b.rHI[c]...),
+		tr:    append([]float64(nil), b.rTR[c]...),
+		load:  b.loads[c], lu1: b.lu1[c], lu2: b.lu2[c],
+		allOK: b.allOK[c],
+	}
+}
+
+// checkReanalyzeStable asserts that a forced cold rebuild of core c
+// changes no stored value: whatever path brought the core to its
+// state left exactly what the reference rebuild computes.
+func checkReanalyzeStable(t *testing.T, b *Backend, c int) {
+	t.Helper()
+	b.ensure(c)
+	before := snapshotCore(b, c)
+	b.Reanalyze(c)
+	after := snapshotCore(b, c)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("Reanalyze changed core %d:\nbefore %+v\nafter  %+v", c, before, after)
+	}
+}
+
+// handSetPlus is handSet plus tau3, a LO task (T=12, C=11) that misses
+// its deadline beside tau0 (R_LO = 11 + ceil(11/10)*1 = 13 > 12), for
+// the forced-infeasible placements.
+func handSetPlus() *mc.TaskSet {
+	ts := handSet()
+	ts.Tasks = append(ts.Tasks, mc.Task{ID: 4, Period: 12, Crit: 1, WCET: []float64{11}})
+	return ts
+}
+
+// fillHand places tau0, tau1, tau2 in priority order on core 0.
+func fillHand(t *testing.T, ts *mc.TaskSet) *Backend {
+	t.Helper()
+	b := &Backend{}
+	b.Reset(1, 2)
+	b.Prepare(ts)
+	b.Begin()
+	for ti := 0; ti < 3; ti++ {
+		if !b.FeasibleWith(0, ti) {
+			t.Fatalf("task %d rejected on a hand-schedulable core", ti)
+		}
+		b.Place(0, ti, false)
+	}
+	return b
+}
+
+// TestDeltaSuffixRebuildHandComputed pins the suffix-only rebuild of
+// Remove on handSet. Removing tau1 (rank 1) from the clean core must
+// keep tau0's stored responses without recomputing them, recompute
+// tau2 cold to the hand values of the pair {tau0, tau2}, and shift
+// tau2's rank down:
+//
+//	tau2: R_LO = 3 + ceil(4/10)*1 = 4
+//	      R_HI = 6 + ceil(8/10)*2 = 8
+//	      R*   = 6 + ceil(8/10)*2 = 8 (no LO interferer left)
+//
+// Removing the rank-0 task, removing on a dirty core, and removing
+// from a core a forced infeasible Place left unschedulable must take
+// the full rebuild instead. A Reanalyze after any of them changes no
+// stored value.
+func TestDeltaSuffixRebuildHandComputed(t *testing.T) {
+	t.Run("suffix", func(t *testing.T) {
+		b := fillHand(t, handSet())
+		checkHandResponses(t, b, 0)
+		// Poison tau0's stored responses: a suffix rebuild must not
+		// recompute rank 0, so the marks must survive it.
+		lo, hi, tr := b.rLO[0][0], b.rHI[0][0], b.rTR[0][0]
+		b.rLO[0][0], b.rHI[0][0], b.rTR[0][0] = -1, -2, -3
+		b.Remove(0, 1)
+		if b.dirty[0] || b.from[0] != 1 {
+			t.Fatalf("Remove of rank 1: dirty=%v from=%d, want the suffix mark from rank 1", b.dirty[0], b.from[0])
+		}
+		want := handSet().Tasks[0].MaxUtil()
+		want += handSet().Tasks[2].MaxUtil()
+		if got := b.OwnLoad(0); got != want {
+			t.Errorf("OwnLoad = %v, want %v", got, want)
+		}
+		if b.from[0] != -1 {
+			t.Fatal("query left the suffix mark set")
+		}
+		if b.rLO[0][0] != -1 || b.rHI[0][0] != -2 || b.rTR[0][0] != -3 {
+			t.Fatalf("suffix rebuild recomputed tau0: (%v, %v, %v)", b.rLO[0][0], b.rHI[0][0], b.rTR[0][0])
+		}
+		b.rLO[0][0], b.rHI[0][0], b.rTR[0][0] = lo, hi, tr
+		if lo != 1 || hi != 2 || tr != 2 {
+			t.Errorf("tau0 stored (%v, %v, %v), want (1, 2, 2)", lo, hi, tr)
+		}
+		if !reflect.DeepEqual(b.cores[0], []int{0, 2}) || !reflect.DeepEqual(b.ranks[0], []int{0, 1}) {
+			t.Errorf("members %v ranks %v, want [0 2] [0 1]", b.cores[0], b.ranks[0])
+		}
+		if b.rLO[0][1] != 4 || b.rHI[0][1] != 8 || b.rTR[0][1] != 8 {
+			t.Errorf("tau2 recomputed (%v, %v, %v), want (4, 8, 8)", b.rLO[0][1], b.rHI[0][1], b.rTR[0][1])
+		}
+		if !b.allOK[0] {
+			t.Error("core marked unschedulable after a removal")
+		}
+		checkReanalyzeStable(t, b, 0)
+	})
+
+	t.Run("rank-0", func(t *testing.T) {
+		b := fillHand(t, handSet())
+		b.Remove(0, 0)
+		if !b.dirty[0] {
+			t.Fatal("Remove of the rank-0 task did not take the full rebuild")
+		}
+		checkReanalyzeStable(t, b, 0)
+	})
+
+	t.Run("dirty-core", func(t *testing.T) {
+		b := fillHand(t, handSetPlus())
+		b.Place(0, 3, false) // infeasible: forced, core dirty
+		if !b.dirty[0] {
+			t.Fatal("forced infeasible Place did not mark the core dirty")
+		}
+		b.Remove(0, 1)
+		if !b.dirty[0] || b.from[0] != -1 {
+			t.Fatalf("Remove on a dirty core: dirty=%v from=%d, want the full rebuild", b.dirty[0], b.from[0])
+		}
+		checkReanalyzeStable(t, b, 0)
+		if b.allOK[0] {
+			t.Error("core holding tau3 beside tau0 reported schedulable")
+		}
+	})
+
+	t.Run("after-forced-place", func(t *testing.T) {
+		b := fillHand(t, handSetPlus())
+		b.Place(0, 3, false)
+		b.OwnLoad(0) // rebuild: clean but unschedulable
+		if b.dirty[0] || b.allOK[0] {
+			t.Fatalf("after the rebuild: dirty=%v allOK=%v, want clean and unschedulable", b.dirty[0], b.allOK[0])
+		}
+		b.Remove(0, 1)
+		if !b.dirty[0] {
+			t.Fatal("Remove on an unschedulable core did not take the full rebuild")
+		}
+		checkReanalyzeStable(t, b, 0)
+		b.Remove(0, 3)
+		if !b.dirty[0] {
+			t.Fatal("Remove of the infeasible member did not take the full rebuild")
+		}
+		b.ensure(0)
+		if !b.allOK[0] {
+			t.Fatal("core still unschedulable after the infeasible member left")
+		}
+		if b.rLO[0][1] != 4 || b.rHI[0][1] != 8 || b.rTR[0][1] != 8 {
+			t.Errorf("tau2 rebuilt (%v, %v, %v), want (4, 8, 8)", b.rLO[0][1], b.rHI[0][1], b.rTR[0][1])
+		}
+		checkReanalyzeStable(t, b, 0)
+	})
+}
+
+// TestDeltaScreenBoundary pins the utilization screen at its
+// boundaries. On each set the last task is probed against a core
+// holding the others; the verdict must equal Schedulable, and the
+// screen must fire exactly when the set says so. The harmonic sets sit
+// at U = 1 exactly and must be accepted; a set inside the 1+δ margin
+// must be left to the fixed points (which reject it); sets above it
+// are screened; and a warmOK == false set bypasses the screen.
+func TestDeltaScreenBoundary(t *testing.T) {
+	lo := func(id int, p, c float64) mc.Task { return mc.Task{ID: id, Period: p, Crit: 1, WCET: []float64{c}} }
+	hi := func(id int, p, c1, c2 float64) mc.Task {
+		return mc.Task{ID: id, Period: p, Crit: 2, WCET: []float64{c1, c2}}
+	}
+	for _, tc := range []struct {
+		name     string
+		tasks    []mc.Task
+		accept   bool
+		screened bool
+		warmOK   bool
+	}{
+		{"lo-harmonic-U1", []mc.Task{lo(1, 2, 1), lo(2, 4, 2)}, true, false, true},
+		{"hi-harmonic-U1", []mc.Task{hi(1, 2, 0.5, 1), hi(2, 4, 1, 2)}, true, false, true},
+		// U_LO = 1+1e-9, inside the margin: the fixed point rejects.
+		{"lo-inside-margin", []mc.Task{lo(1, 2, 1), lo(2, 4, 2+2e-9)}, false, false, true},
+		{"lo-above-screen", []mc.Task{lo(1, 2, 1), lo(2, 4, 2+2e-7)}, false, true, true},
+		{"hi-above-screen", []mc.Task{hi(1, 2, 0.5, 1), hi(2, 4, 1, 2+2e-7)}, false, true, true},
+		// A budget inside the Eps band turns warmOK off: no screen.
+		{"eps-band", []mc.Task{lo(1, 10, Eps), lo(2, 2, 1), lo(3, 4, 2.5)}, false, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := &mc.TaskSet{Tasks: tc.tasks}
+			b := &Backend{}
+			b.Reset(1, 2)
+			b.Prepare(ts)
+			if b.warmOK != tc.warmOK {
+				t.Fatalf("warmOK = %v, want %v", b.warmOK, tc.warmOK)
+			}
+			b.Begin()
+			last := ts.Len() - 1
+			for ti := 0; ti < last; ti++ {
+				if !b.FeasibleWith(0, ti) {
+					t.Fatalf("task %d rejected on its own", ti)
+				}
+				b.Place(0, ti, false)
+			}
+			screened := b.warmOK && (b.lu1[0]+b.u1[last] > b.screen ||
+				b.hi[last] && b.lu2[0]+b.u2[last] > b.screen)
+			if screened != tc.screened {
+				t.Errorf("screen fired = %v, want %v (U_LO %v, U_HI %v, 1+δ %v)",
+					screened, tc.screened, b.lu1[0]+b.u1[last], b.lu2[0]+b.u2[last], b.screen)
+			}
+			got := b.FeasibleWith(0, last)
+			if want := Schedulable(ts.Tasks); got != want || got != tc.accept {
+				t.Errorf("FeasibleWith = %v, Schedulable = %v, want %v", got, want, tc.accept)
+			}
+		})
 	}
 }

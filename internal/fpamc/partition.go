@@ -38,7 +38,7 @@ func init() {
 // committed tasks of higher priority than the candidate keep their
 // stored responses untouched (their interference sets are unchanged,
 // so the stored values are bitwise what a recompute would produce),
-// the candidate runs cold fixed points over its higher-priority
+// the candidate runs its fixed points over its higher-priority
 // committed set, and lower-priority tasks re-run their fixed points
 // warm-started from the stored responses — sound because adding an
 // interferer only grows each demand sum, so the stored response stays
@@ -51,13 +51,27 @@ func init() {
 // the iteration cap cannot produce a verdict the warm path would
 // miss. Prepare checks both conditions (warmOK); when either fails,
 // probes fall back to cold recomputation, which is trivially identical
-// to the batch path. Removal breaks the monotone-climb argument in the
-// other direction (responses shrink), so Remove always takes the
-// exact-recompute fallback: the core is marked dirty and the next
-// query rebuilds ranks, loads and responses cold from the surviving
-// members in placement order. Reanalyze forces that same rebuild
-// unconditionally — the reference path the differential gates compare
-// the incremental path against.
+// to the batch path. Under warmOK a probe also (a) rejects without any
+// fixed point when the core's level-1 or HI-task level-2 utilization
+// plus the candidate's exceeds 1+δ, a bound under which the
+// lowest-priority task provably misses (see Prepare), (b) takes the
+// first warm iteration of each displaced task in O(1), because a
+// stored response is an exact plateau of its old demand sum and the
+// candidate's term is added last, and (c) seeds the candidate's LO and
+// HI fixed points from its nearest higher-priority neighbour's stored
+// response plus its own budget, a lower bound of its least fixed point.
+//
+// Removal shrinks demand sums, which breaks the monotone-climb
+// argument in the other direction, but only for the tasks below the
+// removed one: on a clean, schedulable core Remove keeps the
+// higher-priority members' stored responses (their interference sets
+// did not change) and marks the core so the next query recomputes cold
+// only the members of the removed rank and below. A dirty or
+// unschedulable core, a removed rank-0 task, a forced infeasible Place
+// and Reanalyze take the full cold rebuild of ranks, loads and
+// responses from the surviving members in placement order — the
+// reference path the differential gates compare the incremental path
+// against.
 //
 // Every verdict remains identical to Schedulable on the corresponding
 // task slice: the demand sums run in the same trial-index order (the
@@ -65,15 +79,29 @@ func init() {
 // same float operations, warm and cold fixed points meet in the same
 // least fixed point bit-for-bit under warmOK, and a task is only ever
 // skipped when its inputs are unchanged since its last recompute. The
-// differential tests in backend_diff_test.go and the
-// FuzzIncrementalAgreement gate in internal/partition check this on
-// random subsets and random placement histories.
+// differential tests in backend_diff_test.go, FuzzAMCProbeAgreement
+// (every probe against Schedulable) and the FuzzIncrementalAgreement
+// gate in internal/partition check this on random subsets and random
+// placement histories.
 type Backend struct {
 	m  int
 	ts *mc.TaskSet
 
+	// Packed per-task parameters, indexed like ts.Tasks and filled by
+	// Prepare so the fixed points read flat slices instead of the
+	// out-of-line Task.C: period, level-1 and level-2 budgets (C(2)
+	// saturates, so it is C(1) for a LO task), level-1 utilization,
+	// level-2 utilization (bitwise MaxUtil for a dual-criticality
+	// task), and the high-criticality test.
+	per, c1, c2, u1, u2 []float64
+	hi                  []bool
+
 	cores [][]int   // per-core placed task indices, in allocation order
 	loads []float64 // per-core Eq. 4 own-level load (sum MaxUtil)
+	// Per-core screen sums in placement order: level-1 utilization of
+	// every member and level-2 utilization of the HI members. Commit
+	// adds to them and a rebuild re-sums them; nothing subtracts.
+	lu1, lu2 []float64
 
 	// Committed incremental state, all aligned with cores[c]:
 	// deadline-monotonic rank of each committed task within its core,
@@ -83,13 +111,17 @@ type Backend struct {
 	rLO   [][]float64
 	rHI   [][]float64
 	rTR   [][]float64
-	dirty []bool // core must be rebuilt cold before the next query
+	dirty []bool // core must be rebuilt cold, ranks included, before the next query
+	from  []int  // lowest stale rank after a suffix-only Remove, -1 when none
 	allOK []bool // every committed task met its deadline bound
 
 	// warmOK gates the warm-start path: true when every fixed point
 	// over the prepared set plateaus exactly and converges under the
 	// iteration cap, so warm and cold arithmetic are bitwise equal.
 	warmOK bool
+	// screen is 1+δ, the utilization above which a warmOK probe
+	// rejects without running a fixed point (see Prepare).
+	screen float64
 
 	// Probe scratch: the most recent feasible probe's candidate
 	// responses plus the recomputed lower-priority responses (aligned
@@ -107,10 +139,9 @@ type Backend struct {
 	kOK                bool
 
 	// Batch scratch for schedulable (the verdict-only reference used
-	// by the differential tests) and for ensure's rank rebuild.
-	trial []int
-	prio  []int
-	rank  []int
+	// by the differential tests) and for rebuild's rank sort.
+	prio []int
+	rank []int
 }
 
 // Name implements partition.Backend.
@@ -162,34 +193,60 @@ func (b *Backend) Reset(m, k int) {
 		b.rTR = b.rTR[:m]
 	}
 	b.loads = resizeFloats(b.loads, m)
+	b.lu1 = resizeFloats(b.lu1, m)
+	b.lu2 = resizeFloats(b.lu2, m)
 	b.dirty = resizeBools(b.dirty, m)
+	b.from = resizeInts(b.from, m)
 	b.allOK = resizeBools(b.allOK, m)
 	b.pOK, b.kOK = false, false
 }
 
-// Prepare implements partition.Backend. Beyond installing the set it
-// decides whether warm-started fixed points are bitwise safe (see the
-// type comment): every non-final iteration of a demand recursion grows
-// the demand by at least one whole level-1 budget, so when the
-// smallest budget clears the epsilon band the convergence test
-// "demand <= r+Eps" only fires on an exact fixed point, and
-// maxP/minC+8 bounds the cold iteration count away from the cap.
+// Prepare implements partition.Backend. It packs the per-task
+// parameters, then decides whether warm-started fixed points are
+// bitwise safe (see the type comment): every non-final iteration of a
+// demand recursion grows the demand by at least one whole level-1
+// budget, so when the smallest budget clears the epsilon band the
+// convergence test "demand <= r+Eps" only fires on an exact fixed
+// point, and maxP/minC+8 bounds the cold iteration count away from the
+// cap.
 //
-//mc:allocfree scans the prepared set
+// It also sets the utilization screen 1+δ with δ = 4·Eps/minC + 4η,
+// η = (3n+8)·2^-53 for an n-task set. The lowest-priority task L of a
+// level whose utilization U exceeds 1+δ has demand
+// W(r) >= (r-Eps)·U at every iterate r <= D_L+Eps (each ceiling is at
+// least its argument, and C_L >= (r-Eps)·C_L/T_L there), and η bounds
+// the float rounding of the screened sum and of W, so the computed
+// demand always exceeds r+Eps for r >= minC: L's fixed point never
+// converges inside its deadline and the full analysis rejects.
+// DESIGN.md Section 14 writes out the derivation.
+//
+//mc:allocfree packs the prepared set into amortized storage
 func (b *Backend) Prepare(ts *mc.TaskSet) {
 	b.ts = ts
 	b.pOK, b.kOK = false, false
+	n := ts.Len()
+	b.per = resizeFloats(b.per, n)
+	b.c1 = resizeFloats(b.c1, n)
+	b.c2 = resizeFloats(b.c2, n)
+	b.u1 = resizeFloats(b.u1, n)
+	b.u2 = resizeFloats(b.u2, n)
+	b.hi = resizeBools(b.hi, n)
 	minC := math.Inf(1)
 	maxP := 0.0
 	for i := range ts.Tasks {
-		if c := ts.Tasks[i].C(1); c < minC {
+		t := &ts.Tasks[i]
+		b.per[i], b.c1[i], b.c2[i] = t.Period, t.C(1), t.C(2)
+		b.u1[i], b.u2[i] = t.Util(1), t.Util(2)
+		b.hi[i] = t.Crit >= 2
+		if c := b.c1[i]; c < minC {
 			minC = c
 		}
-		if p := ts.Tasks[i].Period; p > maxP {
+		if p := t.Period; p > maxP {
 			maxP = p
 		}
 	}
-	b.warmOK = ts.Len() > 0 && minC > 2*Eps && maxP/minC+8 < float64(maxIterations)
+	b.warmOK = n > 0 && minC > 2*Eps && maxP/minC+8 < float64(maxIterations)
+	b.screen = 1 + 4*Eps/minC + 4*float64(3*n+8)*0x1p-53
 }
 
 // Begin implements partition.Backend.
@@ -202,76 +259,92 @@ func (b *Backend) Begin() {
 		b.rLO[c] = b.rLO[c][:0]
 		b.rHI[c] = b.rHI[c][:0]
 		b.rTR[c] = b.rTR[c][:0]
-		b.loads[c] = 0
+		b.loads[c], b.lu1[c], b.lu2[c] = 0, 0, 0
 		b.dirty[c] = false
+		b.from[c] = -1
 		b.allOK[c] = true
 	}
 	b.pOK, b.kOK = false, false
 }
 
-// ensure rebuilds core c's incremental state cold from the committed
-// members — the exact-recompute fallback after a removal or a forced
-// infeasible placement. Ranks come from the same stable insertion sort
-// the batch path uses, loads re-accumulate in placement order, and
-// every response re-runs its fixed point cold, reproducing bitwise the
-// values the incremental commits would have left (see the type
-// comment for why warm and cold meet in the same bits).
+// ensure brings core c's incremental state up to date before a query:
+// the full cold rebuild after a forced infeasible placement, a removal
+// from a dirty or unschedulable core, or Reanalyze; the suffix-only
+// rebuild after a removal from a clean, schedulable core.
 //
 //mc:allocfree inlineable guard around the rebuild
 func (b *Backend) ensure(c int) {
-	if b.dirty[c] {
+	if b.dirty[c] || b.from[c] >= 0 {
 		b.rebuild(c)
 	}
 }
 
 // rebuild is ensure's slow path, split out so the clean-path guard
-// inlines into every query.
+// inlines into every query. A dirty core re-sorts its ranks with the
+// same stable insertion sort the batch path uses and recomputes every
+// response; a suffix-marked core keeps its ranks and the responses
+// above the marked rank. Either way the recomputed fixed points run
+// cold and the loads re-accumulate in placement order, reproducing
+// bitwise the values the incremental commits would have left (see the
+// type comment for why warm and cold meet in the same bits).
 //
 //mc:allocfree rebuilds into amortized per-core storage
 func (b *Backend) rebuild(c int) {
 	mem := b.cores[c]
 	n := len(mem)
-	b.ranks[c] = resizeInts(b.ranks[c], n)
-	b.rLO[c] = resizeFloats(b.rLO[c], n)
-	b.rHI[c] = resizeFloats(b.rHI[c], n)
-	b.rTR[c] = resizeFloats(b.rTR[c], n)
-	b.prio = resizeInts(b.prio, n)
-	for i := 0; i < n; i++ {
-		b.prio[i] = i
-	}
-	for i := 1; i < n; i++ {
-		p := b.prio[i]
-		j := i
-		for j > 0 && b.priorityBefore(mem[p], mem[b.prio[j-1]]) {
-			b.prio[j] = b.prio[j-1]
-			j--
+	from := b.from[c]
+	if b.dirty[c] {
+		from = 0
+		b.ranks[c] = resizeInts(b.ranks[c], n)
+		b.rLO[c] = resizeFloats(b.rLO[c], n)
+		b.rHI[c] = resizeFloats(b.rHI[c], n)
+		b.rTR[c] = resizeFloats(b.rTR[c], n)
+		b.prio = resizeInts(b.prio, n)
+		for i := 0; i < n; i++ {
+			b.prio[i] = i
 		}
-		b.prio[j] = p
+		for i := 1; i < n; i++ {
+			p := b.prio[i]
+			j := i
+			for j > 0 && b.priorityBefore(mem[p], mem[b.prio[j-1]]) {
+				b.prio[j] = b.prio[j-1]
+				j--
+			}
+			b.prio[j] = p
+		}
+		for pos, i := range b.prio {
+			b.ranks[c][i] = pos
+		}
 	}
-	for pos, i := range b.prio {
-		b.ranks[c][i] = pos
-	}
-	load := 0.0
+	load, lu1, lu2 := 0.0, 0.0, 0.0
 	for _, t := range mem {
-		load += b.ts.Tasks[t].MaxUtil()
+		load += b.u2[t]
+		lu1 += b.u1[t]
+		if b.hi[t] {
+			lu2 += b.u2[t]
+		}
 	}
-	b.loads[c] = load
+	b.loads[c], b.lu1[c], b.lu2[c] = load, lu1, lu2
 	ok := true
 	for j := 0; j < n; j++ {
-		t := &b.ts.Tasks[mem[j]]
-		deadline := t.Period
-		lo := b.coreLo(c, t, b.ranks[c][j], -1, t.C(1), deadline)
+		rank := b.ranks[c][j]
+		if rank < from {
+			continue
+		}
+		t := mem[j]
+		deadline := b.per[t]
+		lo := b.coreLo(c, t, rank, -1, b.c1[t], deadline)
 		b.rLO[c][j] = lo
 		if lo > deadline+Eps {
 			ok = false
 		}
-		if t.Crit >= 2 {
-			hi := b.coreHi(c, t, b.ranks[c][j], -1, t.C(2), deadline)
+		if b.hi[t] {
+			hi := b.coreHi(c, t, rank, -1, b.c2[t], deadline)
 			b.rHI[c][j] = hi
 			if hi > deadline+Eps {
 				ok = false
 			}
-			tr := b.coreTr(c, t, b.ranks[c][j], -1, lo, t.C(2), deadline)
+			tr := b.coreTr(c, t, rank, -1, lo, b.c2[t], deadline)
 			b.rTR[c][j] = tr
 			if tr > deadline+Eps {
 				ok = false
@@ -280,14 +353,15 @@ func (b *Backend) rebuild(c int) {
 	}
 	b.allOK[c] = ok
 	b.dirty[c] = false
+	b.from[c] = -1
 }
 
 // probe is the incremental feasibility test of core c plus candidate
 // ti. It fills the probe scratch with everything a commit needs: the
-// candidate's rank and cold responses, and the warm-recomputed
-// responses of every committed task the candidate outranks.
-// Higher-priority committed tasks are skipped — their interference
-// sets are unchanged, so their stored responses and verdicts stand.
+// candidate's rank and responses, and the warm-recomputed responses of
+// every committed task the candidate outranks. Higher-priority
+// committed tasks are skipped — their interference sets are
+// unchanged, so their stored responses and verdicts stand.
 //
 //mc:allocfree fixed points over cached state into reusable scratch
 func (b *Backend) probe(c, ti int) bool {
@@ -296,29 +370,47 @@ func (b *Backend) probe(c, ti int) bool {
 	if !b.allOK[c] {
 		return false
 	}
-	ts := b.ts
-	t := &ts.Tasks[ti]
+	candHI := b.hi[ti]
+	if b.warmOK && (b.lu1[c]+b.u1[ti] > b.screen || candHI && b.lu2[c]+b.u2[ti] > b.screen) {
+		return false
+	}
 	mem := b.cores[c]
+	ranks := b.ranks[c]
 	n := len(mem)
-	pos := 0
-	for _, tj := range mem {
+	// pos is the candidate's rank; pred and predHI index the members
+	// of rank pos-1 and the nearest higher-priority HI member.
+	pos, pred, predHI := 0, -1, -1
+	for j, tj := range mem {
 		if b.priorityBefore(tj, ti) {
 			pos++
+			if pred < 0 || ranks[j] > ranks[pred] {
+				pred = j
+			}
+			if b.hi[tj] && (predHI < 0 || ranks[j] > ranks[predHI]) {
+				predHI = j
+			}
 		}
 	}
-	deadline := t.Period
-	cLO := b.coreLo(c, t, pos, -1, t.C(1), deadline)
+	deadline := b.per[ti]
+	seed := b.c1[ti]
+	if b.warmOK && pred >= 0 {
+		seed += b.rLO[c][pred]
+	}
+	cLO := b.coreLo(c, ti, pos, -1, seed, deadline)
 	if cLO > deadline+Eps {
 		return false
 	}
 	var cHI, cTR float64
-	candHI := t.Crit >= 2
 	if candHI {
-		cHI = b.coreHi(c, t, pos, -1, t.C(2), deadline)
+		seed = b.c2[ti]
+		if b.warmOK && predHI >= 0 {
+			seed += b.rHI[c][predHI]
+		}
+		cHI = b.coreHi(c, ti, pos, -1, seed, deadline)
 		if cHI > deadline+Eps {
 			return false
 		}
-		cTR = b.coreTr(c, t, pos, -1, cLO, t.C(2), deadline)
+		cTR = b.coreTr(c, ti, pos, -1, cLO, b.c2[ti], deadline)
 		if cTR > deadline+Eps {
 			return false
 		}
@@ -327,38 +419,40 @@ func (b *Backend) probe(c, ti int) bool {
 	b.pHI = resizeFloats(b.pHI, n)
 	b.pTR = resizeFloats(b.pTR, n)
 	for j := 0; j < n; j++ {
-		if b.ranks[c][j] < pos {
+		rank := ranks[j]
+		if rank < pos {
 			continue
 		}
-		tj := &ts.Tasks[mem[j]]
-		dj := tj.Period
-		seed := tj.C(1)
+		tj := mem[j]
+		dj := b.per[tj]
+		var nLO float64
 		if b.warmOK {
-			seed = b.rLO[c][j]
+			nLO = b.warmLo(c, tj, rank, ti, b.rLO[c][j], dj)
+		} else {
+			nLO = b.coreLo(c, tj, rank, ti, b.c1[tj], dj)
 		}
-		nLO := b.coreLo(c, tj, b.ranks[c][j], ti, seed, dj)
 		if nLO > dj+Eps {
 			return false
 		}
 		b.pLO[j] = nLO
-		if tj.Crit >= 2 {
+		if b.hi[tj] {
 			nHI := b.rHI[c][j]
 			if candHI {
-				seed = tj.C(2)
 				if b.warmOK {
-					seed = b.rHI[c][j]
+					nHI = b.warmHi(c, tj, rank, ti, nHI, dj)
+				} else {
+					nHI = b.coreHi(c, tj, rank, ti, b.c2[tj], dj)
 				}
-				nHI = b.coreHi(c, tj, b.ranks[c][j], ti, seed, dj)
 				if nHI > dj+Eps {
 					return false
 				}
 			}
 			b.pHI[j] = nHI
-			seed = tj.C(2)
+			seed = b.c2[tj]
 			if b.warmOK {
 				seed = b.rTR[c][j]
 			}
-			nTR := b.coreTr(c, tj, b.ranks[c][j], ti, nLO, seed, dj)
+			nTR := b.coreTr(c, tj, rank, ti, nLO, seed, dj)
 			if nTR > dj+Eps {
 				return false
 			}
@@ -378,8 +472,7 @@ func (b *Backend) probe(c, ti int) bool {
 //
 //mc:allocfree per-core lists grow amortized
 func (b *Backend) commit(c, ti, pos int, cLO, cHI, cTR float64, lo, hi, tr []float64) {
-	ts := b.ts
-	candHI := ts.Tasks[ti].Crit >= 2
+	candHI := b.hi[ti]
 	mem := b.cores[c]
 	for j := range mem {
 		if b.ranks[c][j] < pos {
@@ -387,7 +480,7 @@ func (b *Backend) commit(c, ti, pos int, cLO, cHI, cTR float64, lo, hi, tr []flo
 		}
 		b.ranks[c][j]++
 		b.rLO[c][j] = lo[j]
-		if ts.Tasks[mem[j]].Crit >= 2 {
+		if b.hi[mem[j]] {
 			if candHI {
 				b.rHI[c][j] = hi[j]
 			}
@@ -399,7 +492,11 @@ func (b *Backend) commit(c, ti, pos int, cLO, cHI, cTR float64, lo, hi, tr []flo
 	b.rLO[c] = append(b.rLO[c], cLO)
 	b.rHI[c] = append(b.rHI[c], cHI)
 	b.rTR[c] = append(b.rTR[c], cTR)
-	b.loads[c] += ts.Tasks[ti].MaxUtil()
+	b.loads[c] += b.u2[ti]
+	b.lu1[c] += b.u1[ti]
+	if candHI {
+		b.lu2[c] += b.u2[ti]
+	}
 	b.pOK, b.kOK = false, false
 }
 
@@ -425,7 +522,7 @@ func (b *Backend) FeasibleWith(c, ti int) bool {
 //mc:allocfree delegates to the scratch-based incremental probe
 func (b *Backend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64 {
 	b.ensure(c)
-	load := b.loads[c] + b.ts.Tasks[ti].MaxUtil()
+	load := b.loads[c] + b.u2[ti]
 	if load-base >= margin || !b.probe(c, ti) {
 		return math.Inf(1)
 	}
@@ -454,9 +551,9 @@ func (b *Backend) KeepProbe() {
 // kept (probed) or live probe scratch commits that analysis directly —
 // the delta the screen loops already paid for; any other placement
 // re-probes first. Forcing an infeasible task onto a core records it
-// and schedules the exact-recompute fallback, which marks the core
-// unschedulable for every later probe (matching the batch path, where
-// any subset containing the infeasible member fails).
+// and schedules the full rebuild, which marks the core unschedulable
+// for every later probe (matching the batch path, where any subset
+// containing the infeasible member fails).
 //
 //mc:allocfree commits from scratch or marks the core for rebuild
 func (b *Backend) Place(c, ti int, probed bool) {
@@ -473,28 +570,49 @@ func (b *Backend) Place(c, ti int, probed bool) {
 		return
 	}
 	b.cores[c] = append(b.cores[c], ti)
-	b.loads[c] += b.ts.Tasks[ti].MaxUtil()
+	b.loads[c] += b.u2[ti]
 	b.dirty[c] = true
 	b.pOK, b.kOK = false, false
 }
 
-// Remove implements partition.Backend. Removal shrinks every affected
-// demand sum, which breaks the monotone-climb argument warm starts
-// rely on, so the backend always takes the exact-recompute fallback:
-// delete the member, mark the core, and let the next query rebuild
-// cold in placement order.
+// Remove implements partition.Backend. Removal shrinks the demand sums
+// of the removed task's lower-priority members only, so on a clean,
+// schedulable core it deletes the member's entry, closes the rank gap,
+// and marks the core so the next query recomputes cold just the
+// members at the removed rank and below (and re-sums the loads in
+// placement order); the higher-priority members' stored responses are
+// already bitwise what a cold recompute gives. A dirty or
+// unschedulable core, or a removed rank-0 task, takes the full
+// rebuild instead.
 //
-//mc:allocfree in-place delete and a dirty mark; panic path exempt
+//mc:allocfree in-place deletes and a rebuild mark; panic path exempt
 func (b *Backend) Remove(c, ti int) {
 	b.pOK, b.kOK = false, false
 	mem := b.cores[c]
 	for i, t := range mem {
-		if t == ti {
-			copy(mem[i:], mem[i+1:])
-			b.cores[c] = mem[:len(mem)-1]
+		if t != ti {
+			continue
+		}
+		b.cores[c] = deleteInt(mem, i)
+		if b.dirty[c] || !b.allOK[c] || b.ranks[c][i] == 0 {
 			b.dirty[c] = true
 			return
 		}
+		r := b.ranks[c][i]
+		ranks := deleteInt(b.ranks[c], i)
+		for j := range ranks {
+			if ranks[j] > r {
+				ranks[j]--
+			}
+		}
+		b.ranks[c] = ranks
+		b.rLO[c] = deleteFloat(b.rLO[c], i)
+		b.rHI[c] = deleteFloat(b.rHI[c], i)
+		b.rTR[c] = deleteFloat(b.rTR[c], i)
+		if b.from[c] < 0 || r < b.from[c] {
+			b.from[c] = r
+		}
+		return
 	}
 	panic(fmt.Sprintf("fpamc: Remove(%d, %d): task not committed on core", c, ti))
 }
@@ -538,27 +656,28 @@ func (b *Backend) ReportInto(c int, ci *partition.CoreInfo) {
 	ci.Lambda = ci.Lambda[:0]
 }
 
-// coreLo is the LO-mode demand recursion over core c's committed
-// members (everyone of higher priority interferes with level-1
-// budgets, summed in placement order), plus candidate cand's term
-// appended last when cand >= 0 — exactly the trial-index order the
-// batch path uses, so warm and cold runs share every float operation.
+// coreLo is the LO-mode demand recursion of task t over core c's
+// committed members (everyone of higher priority interferes with
+// level-1 budgets, summed in placement order), plus candidate cand's
+// term appended last when cand >= 0 — exactly the trial-index order
+// the batch path uses, so warm and cold runs share every float
+// operation.
 //
 //mc:allocfree arithmetic over cached per-core state
-func (b *Backend) coreLo(c int, t *mc.Task, myRank, cand int, seed, bound float64) float64 {
-	ts := b.ts
+func (b *Backend) coreLo(c, t, myRank, cand int, seed, bound float64) float64 {
+	per, c1 := b.per, b.c1
 	mem := b.cores[c]
 	ranks := b.ranks[c]
 	r := seed
 	for iter := 0; iter < maxIterations; iter++ {
-		demand := t.C(1)
+		demand := c1[t]
 		for j, tj := range mem {
 			if ranks[j] < myRank {
-				demand += math.Ceil((r-Eps)/ts.Tasks[tj].Period) * ts.Tasks[tj].C(1)
+				demand += math.Ceil((r-Eps)/per[tj]) * c1[tj]
 			}
 		}
 		if cand >= 0 {
-			demand += math.Ceil((r-Eps)/ts.Tasks[cand].Period) * ts.Tasks[cand].C(1)
+			demand += math.Ceil((r-Eps)/per[cand]) * c1[cand]
 		}
 		if demand <= r+Eps || demand > bound+Eps {
 			return demand
@@ -568,25 +687,25 @@ func (b *Backend) coreLo(c int, t *mc.Task, myRank, cand int, seed, bound float6
 	return math.Inf(1)
 }
 
-// coreHi is the stable HI-mode demand recursion over core c (only
-// high-criticality higher-priority members interfere, at level-2
+// coreHi is the stable HI-mode demand recursion of task t over core c
+// (only high-criticality higher-priority members interfere, at level-2
 // budgets); cand must be high-criticality when >= 0.
 //
 //mc:allocfree arithmetic over cached per-core state
-func (b *Backend) coreHi(c int, t *mc.Task, myRank, cand int, seed, bound float64) float64 {
-	ts := b.ts
+func (b *Backend) coreHi(c, t, myRank, cand int, seed, bound float64) float64 {
+	per, c2, hi := b.per, b.c2, b.hi
 	mem := b.cores[c]
 	ranks := b.ranks[c]
 	r := seed
 	for iter := 0; iter < maxIterations; iter++ {
-		demand := t.C(2)
+		demand := c2[t]
 		for j, tj := range mem {
-			if ranks[j] < myRank && ts.Tasks[tj].Crit >= 2 {
-				demand += math.Ceil((r-Eps)/ts.Tasks[tj].Period) * ts.Tasks[tj].C(2)
+			if ranks[j] < myRank && hi[tj] {
+				demand += math.Ceil((r-Eps)/per[tj]) * c2[tj]
 			}
 		}
 		if cand >= 0 {
-			demand += math.Ceil((r-Eps)/ts.Tasks[cand].Period) * ts.Tasks[cand].C(2)
+			demand += math.Ceil((r-Eps)/per[cand]) * c2[cand]
 		}
 		if demand <= r+Eps || demand > bound+Eps {
 			return demand
@@ -596,35 +715,65 @@ func (b *Backend) coreHi(c int, t *mc.Task, myRank, cand int, seed, bound float6
 	return math.Inf(1)
 }
 
-// coreTr is the AMC-rtb LO->HI transition recursion over core c: HI
-// interference at level-2 budgets over the whole window, LO
+// warmLo is coreLo warm-started from r0, the stored LO response of
+// committed task t, with candidate cand interfering. r0 is an exact
+// plateau of t's old demand sum and cand's term comes last in the new
+// one, so the first iteration is bitwise r0 plus cand's term — O(1)
+// instead of a rescan of the core. The remaining iterations, if any,
+// run the full recursion; the convergence and bound tests are those of
+// coreLo's first pass.
+//
+//mc:allocfree one demand term, then the shared recursion
+func (b *Backend) warmLo(c, t, myRank, cand int, r0, bound float64) float64 {
+	d := r0 + math.Ceil((r0-Eps)/b.per[cand])*b.c1[cand]
+	if d <= r0+Eps || d > bound+Eps {
+		return d
+	}
+	return b.coreLo(c, t, myRank, cand, d, bound)
+}
+
+// warmHi is warmLo's stable HI-mode counterpart, warm-started from the
+// stored HI response r0 of committed task t; cand must be
+// high-criticality.
+//
+//mc:allocfree one demand term, then the shared recursion
+func (b *Backend) warmHi(c, t, myRank, cand int, r0, bound float64) float64 {
+	d := r0 + math.Ceil((r0-Eps)/b.per[cand])*b.c2[cand]
+	if d <= r0+Eps || d > bound+Eps {
+		return d
+	}
+	return b.coreHi(c, t, myRank, cand, d, bound)
+}
+
+// coreTr is the AMC-rtb LO->HI transition recursion of task t over
+// core c: HI interference at level-2 budgets over the whole window, LO
 // interference at level-1 budgets frozen at the task's own LO-mode
 // response loR; candidate cand contributes whichever term its
 // criticality selects, appended last.
 //
 //mc:allocfree arithmetic over cached per-core state
-func (b *Backend) coreTr(c int, t *mc.Task, myRank, cand int, loR, seed, bound float64) float64 {
-	ts := b.ts
+func (b *Backend) coreTr(c, t, myRank, cand int, loR, seed, bound float64) float64 {
+	per, c1, c2, hi := b.per, b.c1, b.c2, b.hi
 	mem := b.cores[c]
 	ranks := b.ranks[c]
 	r := seed
 	for iter := 0; iter < maxIterations; iter++ {
-		demand := t.C(2)
+		demand := c2[t]
 		for j, tj := range mem {
 			if ranks[j] >= myRank {
 				continue
 			}
-			if ts.Tasks[tj].Crit >= 2 {
-				demand += math.Ceil((r-Eps)/ts.Tasks[tj].Period) * ts.Tasks[tj].C(2)
+			if hi[tj] {
+				demand += math.Ceil((r-Eps)/per[tj]) * c2[tj]
 			} else {
-				demand += math.Ceil((loR-Eps)/ts.Tasks[tj].Period) * ts.Tasks[tj].C(1)
+				demand += math.Ceil((loR-Eps)/per[tj]) * c1[tj]
 			}
 		}
 		if cand >= 0 {
-			if ts.Tasks[cand].Crit >= 2 {
-				demand += math.Ceil((r-Eps)/ts.Tasks[cand].Period) * ts.Tasks[cand].C(2)
+			if hi[cand] {
+				demand += math.Ceil((r-Eps)/per[cand]) * c2[cand]
 			} else {
-				demand += math.Ceil((loR-Eps)/ts.Tasks[cand].Period) * ts.Tasks[cand].C(1)
+				demand += math.Ceil((loR-Eps)/per[cand]) * c1[cand]
 			}
 		}
 		if demand <= r+Eps || demand > bound+Eps {
@@ -805,6 +954,22 @@ func resizeFloats(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
+}
+
+// deleteInt removes s[i] in place, keeping the order of the rest.
+//
+//mc:allocfree shifts within the slice
+func deleteInt(s []int, i int) []int {
+	copy(s[i:], s[i+1:])
+	return s[:len(s)-1]
+}
+
+// deleteFloat removes s[i] in place, keeping the order of the rest.
+//
+//mc:allocfree shifts within the slice
+func deleteFloat(s []float64, i int) []float64 {
+	copy(s[i:], s[i+1:])
+	return s[:len(s)-1]
 }
 
 //mc:allocfree amortized: reallocates only on growth

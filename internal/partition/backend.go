@@ -105,9 +105,10 @@ type Backend interface {
 
 	// Remove deletes committed task ti from core c: the removal delta
 	// of the online admit/release protocol. Implementations undo the
-	// placement exactly — bitwise — by scheduling the exact-recompute
-	// fallback over the core's surviving members, which the next query
-	// on c runs. Removing a task that is not committed on c panics.
+	// placement exactly — bitwise — by scheduling a recompute over the
+	// core's surviving members (all of it, or only the state the
+	// removal can change), which the next query on c runs. Removing a
+	// task that is not committed on c panics.
 	Remove(c, ti int)
 
 	// Reanalyze discards core c's incremental analysis state and

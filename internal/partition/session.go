@@ -9,10 +9,11 @@ import (
 // The online admission session: the API the ROADMAP's online scenario
 // needs, built directly on the Backend delta contract. A session
 // replaces the batch sweep's "re-partition everything per arrival"
-// with O(1)-per-level delta commits on admission and the
-// exact-recompute fallback on release, so admitting or releasing one
-// task costs one pick scan plus one delta — independent of how many
-// tasks are already placed.
+// with O(1)-per-level delta commits on admission and the backend's
+// removal delta on release (a replay or a partial recompute of the
+// touched core, see Release), so admitting or releasing one task costs
+// one pick scan plus one delta — independent of how many tasks are
+// already placed.
 //
 // Protocol: StartIncremental installs the task universe and the pick
 // rule, then any interleaving of Admit and Release follows. Admit uses
@@ -73,8 +74,10 @@ func (p *Partitioner) Admit(ti int) (int, bool) {
 // Release removes admitted task ti from its core and returns that
 // core: the removal delta of the online protocol. The backend restores
 // the core's analysis to bitwise the state a session that never
-// admitted ti would hold (the exact-recompute fallback), and the
-// core's cached loads are refreshed from it. Releasing a task that is
+// admitted ti would hold — edfvd by replaying the survivors in
+// placement order, amcrtb by recomputing only the responses the
+// removal can change — and the core's cached loads are refreshed from
+// it. Releasing a task that is
 // not admitted panics. Release appends no trace step.
 //
 //mc:allocfree one delta removal plus cached-scalar refreshes; panic path exempt

@@ -108,6 +108,7 @@ if [[ "$FUZZTIME" != "0s" && "$FUZZTIME" != "0" ]]; then
     go test ./internal/taskgen -run='^$' -fuzz='^FuzzGenerate$' -fuzztime="$FUZZTIME"
     go test ./internal/taskgen -run='^$' -fuzz='^FuzzCDFSource$' -fuzztime="$FUZZTIME"
     go test ./internal/fpamc -run='^$' -fuzz='^FuzzBackendAgreement$' -fuzztime="$FUZZTIME"
+    go test ./internal/fpamc -run='^$' -fuzz='^FuzzAMCProbeAgreement$' -fuzztime="$FUZZTIME"
     go test ./internal/partition -run='^$' -fuzz='^FuzzIncrementalAgreement$' -fuzztime="$FUZZTIME"
     go test ./internal/serve -run='^$' -fuzz='^FuzzAdmitDecode$' -fuzztime="$FUZZTIME"
 fi
