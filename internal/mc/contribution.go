@@ -1,5 +1,7 @@
 package mc
 
+import "math"
+
 // Contribution holds the utilization contributions of one task with
 // respect to a whole task set (Eqs. 12-13): PerLevel[k-1] = C_i(k) =
 // u_i(k)/U(k) for k = 1..l_i, and Max = C_i = max_k C_i(k).
@@ -47,14 +49,26 @@ func Contributions(ts *TaskSet) []Contribution {
 //  2. ties broken in favor of the higher criticality level;
 //  3. remaining ties broken in favor of the smaller task ID.
 //
-// ca and cb are the respective Max contributions. The relation is a
-// strict total order for tasks with distinct IDs.
+// ca and cb are the respective Max contributions, tied when within Eps.
+// For distinct IDs exactly one of a ≻ b and b ≻ a holds, but the
+// relation is not transitive: keys 0, 0.6e-9 and 1.2e-9 at equal
+// criticality form a cycle. The sorts therefore use the Eps-cluster
+// rule of sortIndexByKey, which agrees with Precedes on every pair
+// outside such a chain.
 //
-//mc:allocfree the comparator of every ordering sort
+//mc:allocfree three comparisons
 func Precedes(a *Task, ca float64, b *Task, cb float64) bool {
 	if diff := ca - cb; diff > Eps || diff < -Eps {
 		return diff > 0
 	}
+	return tieBefore(a, b)
+}
+
+// tieBefore orders two tasks whose keys tie: higher criticality first,
+// then smaller ID.
+//
+//mc:allocfree two comparisons
+func tieBefore(a, b *Task) bool {
 	if a.Crit != b.Crit {
 		return a.Crit > b.Crit
 	}
@@ -122,84 +136,133 @@ func MaxUtilsInto(ts *TaskSet, key []float64) []float64 {
 	return key
 }
 
-// sortIndexByKey fills idx with 0..N-1 sorted by decreasing key, ties
-// broken by higher criticality and then smaller ID — the shared tie
-// rules of every ordering in the paper. idx is reused when its
-// capacity suffices. key (len(ts.Tasks) entries, key[i] the key of
-// task i) is permuted alongside idx, so on return key[r] is the key of
-// task idx[r]: keeping the arrays parallel makes the hot comparison a
-// single position-aligned load per side instead of an indirection
-// through idx.
+// SortScratch is the reusable working storage of the ordering sorts:
+// the per-task keys and two radix buffers. The zero value is ready to
+// use; the slices grow to the largest set sorted and are reused.
+type SortScratch struct {
+	key       []float64
+	word, tmp []uint64
+}
+
+// sortIndexByKey fills idx (reused when its capacity suffices) with
+// 0..N-1 in decreasing s.key order (s.key[i] the key of task i) under
+// the Eps-cluster tie rule shared by every ordering:
 //
-//mc:allocfree sorts caller scratch in place
-func sortIndexByKey(ts *TaskSet, idx []int, key []float64) []int {
+//  1. a two-pass LSD radix sort on the top 16 bits (sign, exponent,
+//     seven mantissa bits) of each key's descending float32 image,
+//     packed above the task index; the image is monotone, so keys may
+//     collide but never invert, and more bits cost more passes than
+//     they save in step 2 on typical sets;
+//  2. an insertion pass on the exact keys, which moves only tasks
+//     whose images collided;
+//  3. a walk that cuts the order into Eps-clusters wherever two
+//     neighbours differ by more than Eps and orders each cluster by
+//     higher criticality, then smaller ID.
+//
+// The rule is transitive and depends only on the multiset of (key,
+// Crit, ID), not on the order of ts.Tasks. It agrees with Precedes on
+// every pair except inside an Eps-chain: a cluster whose extreme keys
+// differ by more than Eps.
+//
+//mc:allocfree radix, repair and cluster passes over caller scratch
+func sortIndexByKey(ts *TaskSet, idx []int, s *SortScratch) []int {
 	n := len(ts.Tasks)
 	if cap(idx) < n {
 		idx = make([]int, n)
 	}
 	idx = idx[:n]
-	for i := range idx {
-		idx[i] = i
+	if cap(s.word) < n {
+		s.word, s.tmp = make([]uint64, n), make([]uint64, n)
 	}
-	quicksortTaskIdx(idx, key, ts)
+	src, dst, key := s.word[:n], s.tmp[:n], s.key
+	// lo and hi count the low and high byte of the 16 sorted bits.
+	var lo, hi [256]uint32
+	for i, k := range key {
+		// Descending image: non-negative floats flip their value bits,
+		// negative ones (whose bits already run backwards) keep them.
+		b := math.Float32bits(float32(k))
+		b ^= ^uint32(int32(b)>>31) & 0x7fffffff
+		src[i] = uint64(b)<<32 | uint64(i)
+		lo[uint8(b>>16)]++
+		hi[b>>24]++
+	}
+	var sl, sh uint32
+	for d := range lo {
+		lo[d], sl = sl, sl+lo[d]
+		hi[d], sh = sh, sh+hi[d]
+	}
+	for _, w := range src {
+		d := uint8(w >> 48)
+		dst[lo[d]] = w
+		lo[d]++
+	}
+	for _, w := range dst {
+		d := w >> 56
+		src[hi[d]] = w
+		hi[d]++
+	}
+	for r, w := range src {
+		i := int(uint32(w))
+		k := key[i]
+		j := r
+		for ; j > 0 && key[idx[j-1]] < k; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = i
+	}
+	first := 0
+	for r := 1; r <= n; r++ {
+		if r < n && key[idx[r-1]]-key[idx[r]] <= Eps {
+			continue
+		}
+		for c := first + 1; c < r; c++ {
+			i := idx[c]
+			j := c
+			for ; j > first && tieBefore(&ts.Tasks[i], &ts.Tasks[idx[j-1]]); j-- {
+				idx[j] = idx[j-1]
+			}
+			idx[j] = i
+		}
+		first = r
+	}
 	return idx
 }
 
-// ordLess compares two order elements — explicit (task index, key)
-// pairs of the parallel arrays — bitwise the Precedes relation: the
-// common case (keys apart by more than Eps) never touches the task
-// structs; ties fall through to the criticality and ID rules.
-//
-//mc:allocfree three comparisons
-func ordLess(ts *TaskSet, ai int, ak float64, bi int, bk float64) bool {
-	if diff := ak - bk; diff > Eps || diff < -Eps {
-		return diff > 0
-	}
-	a, b := &ts.Tasks[ai], &ts.Tasks[bi]
-	if a.Crit != b.Crit {
-		return a.Crit > b.Crit
-	}
-	return a.ID < b.ID
-}
-
 // SortByContributionInto is SortByContribution with caller-provided
-// scratch: idx receives the order; key carries the max contributions
-// through the sort and comes back permuted into that order (key[r] is
-// the contribution of task idx[r]). Both are reused when their
-// capacity suffices, making the call allocation-free at steady state.
-// It returns the order slice.
+// storage: idx receives the order and s holds the keys and radix
+// buffers; both are reused when their capacity suffices, making the
+// call allocation-free at steady state. It returns the order slice.
 //
 //mc:allocfree the per-point ordering step of every sweep
-func SortByContributionInto(ts *TaskSet, idx []int, key []float64) ([]int, []float64) {
-	key = MaxContributionsInto(ts, key)
-	return sortIndexByKey(ts, idx, key), key
+func SortByContributionInto(ts *TaskSet, idx []int, s *SortScratch) []int {
+	s.key = MaxContributionsInto(ts, s.key)
+	return sortIndexByKey(ts, idx, s)
 }
 
-// SortByMaxUtilInto is SortByMaxUtil with caller-provided scratch,
+// SortByMaxUtilInto is SortByMaxUtil with caller-provided storage,
 // mirroring SortByContributionInto.
 //
 //mc:allocfree the per-point ordering step of every sweep
-func SortByMaxUtilInto(ts *TaskSet, idx []int, key []float64) ([]int, []float64) {
-	key = MaxUtilsInto(ts, key)
-	return sortIndexByKey(ts, idx, key), key
+func SortByMaxUtilInto(ts *TaskSet, idx []int, s *SortScratch) []int {
+	s.key = MaxUtilsInto(ts, s.key)
+	return sortIndexByKey(ts, idx, s)
 }
 
 // SortByContribution returns the indices of ts.Tasks sorted by
 // decreasing ordering priority (the allocation order used by CA-TPA,
-// Section III-A). ts itself is not modified.
+// Section III-A), ties resolved by the Eps-cluster rule of
+// sortIndexByKey. ts itself is not modified.
 func SortByContribution(ts *TaskSet) []int {
-	idx, _ := SortByContributionInto(ts, nil, nil)
-	return idx
+	return SortByContributionInto(ts, nil, &SortScratch{})
 }
 
 // SortByMaxUtil returns the indices of ts.Tasks sorted by decreasing
 // own-level utilization u_i(l_i) — the classical "decreasing" order
-// used by FFD/BFD/WFD. Ties are broken by higher criticality, then by
-// smaller ID, mirroring the CA-TPA tie rules so that comparisons
-// between heuristics differ only in the primary key.
+// used by FFD/BFD/WFD. Ties follow the same Eps-cluster rule as
+// SortByContribution, so that comparisons between heuristics differ
+// only in the primary key.
 func SortByMaxUtil(ts *TaskSet) []int {
-	idx, _ := SortByMaxUtilInto(ts, nil, nil)
-	return idx
+	return SortByMaxUtilInto(ts, nil, &SortScratch{})
 }
 
 // resizeFloats returns s resized to n, reallocating only when the
@@ -211,69 +274,4 @@ func resizeFloats(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// quicksortTaskIdx is a simple deterministic in-place sort (median-of-
-// three quicksort with insertion sort for small runs) specialized to
-// the ordLess relation, moving idx and key together. It exists to keep
-// the hot partitioning path free of interface conversions and closure
-// calls; the relation is a strict total order (IDs are unique), so the
-// result is the same for any comparison order.
-//
-//mc:allocfree in-place; recursion bounded by the smaller-half rule
-func quicksortTaskIdx(idx []int, key []float64, ts *TaskSet) {
-	for len(idx) > 12 {
-		// Median of three on values at the ends and middle.
-		m := len(idx) / 2
-		last := len(idx) - 1
-		if ordLess(ts, idx[m], key[m], idx[0], key[0]) {
-			idx[m], idx[0] = idx[0], idx[m]
-			key[m], key[0] = key[0], key[m]
-		}
-		if ordLess(ts, idx[last], key[last], idx[0], key[0]) {
-			idx[last], idx[0] = idx[0], idx[last]
-			key[last], key[0] = key[0], key[last]
-		}
-		if ordLess(ts, idx[last], key[last], idx[m], key[m]) {
-			idx[last], idx[m] = idx[m], idx[last]
-			key[last], key[m] = key[m], key[last]
-		}
-		pi, pk := idx[m], key[m]
-		i, j := 0, last
-		for i <= j {
-			for ordLess(ts, idx[i], key[i], pi, pk) {
-				i++
-			}
-			for ordLess(ts, pi, pk, idx[j], key[j]) {
-				j--
-			}
-			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
-				key[i], key[j] = key[j], key[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j+1 < len(idx)-i {
-			quicksortTaskIdx(idx[:j+1], key[:j+1], ts)
-			idx, key = idx[i:], key[i:]
-		} else {
-			quicksortTaskIdx(idx[i:], key[i:], ts)
-			idx, key = idx[:j+1], key[:j+1]
-		}
-	}
-	// Insertion sort for the remainder: hold the moving element and
-	// shift, instead of swapping pairwise.
-	for i := 1; i < len(idx); i++ {
-		e, ek := idx[i], key[i]
-		j := i
-		for j > 0 && ordLess(ts, e, ek, idx[j-1], key[j-1]) {
-			idx[j] = idx[j-1]
-			key[j] = key[j-1]
-			j--
-		}
-		idx[j] = e
-		key[j] = ek
-	}
 }

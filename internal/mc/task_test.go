@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,29 @@ func TestTaskLabelAndString(t *testing.T) {
 	for _, want := range []string{"flight_ctl", "2 4.5", "p=10", "l=2"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
+		}
+	}
+}
+
+// TestUtilRowMatchesUtil pins UtilRow bitwise to Util at every level
+// up to kmax, including the saturated levels above the task's own.
+func TestUtilRowMatchesUtil(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	row := make([]float64, 8)
+	for trial := 0; trial < 500; trial++ {
+		crit := 1 + rng.Intn(6)
+		tk := Task{ID: trial, Period: 1 + rng.Float64()*999, Crit: crit, WCET: make([]float64, crit)}
+		c := rng.Float64() * tk.Period / 4
+		for k := range tk.WCET {
+			c *= 1 + rng.Float64()
+			tk.WCET[k] = c
+		}
+		kmax := crit + rng.Intn(8-crit+1)
+		tk.UtilRow(kmax, row)
+		for k := 1; k <= kmax; k++ {
+			if math.Float64bits(row[k-1]) != math.Float64bits(tk.Util(k)) {
+				t.Fatalf("%v: UtilRow[%d] = %v, Util(%d) = %v", tk.String(), k-1, row[k-1], k, tk.Util(k))
+			}
 		}
 	}
 }

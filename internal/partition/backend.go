@@ -22,10 +22,10 @@ import (
 // committed core state), every method passes only scalars
 // across the interface boundary, and implementations are expected to
 // reuse internal storage so steady-state runs stay free of heap
-// allocations where the analysis permits it (the EDF-VD backend
-// guarantees 0 allocs/op; the AMC-rtb fixed points allocate, which the
-// contract allows). A Backend is owned by exactly one Partitioner and
-// is not safe for concurrent use.
+// allocations (both the EDF-VD and the AMC-rtb backends run at 0
+// allocs/op, pinned by TestHotPathAllocFree and TestSessionAllocFree).
+// A Backend is owned by exactly one Partitioner and is not safe for
+// concurrent use.
 //
 // Call order per run: Reset (dimensions), Prepare (task set), Begin
 // (clear cores), then any interleaving of the virtual queries with

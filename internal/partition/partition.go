@@ -53,13 +53,13 @@ type allocator struct {
 	// Per-task state.
 	assign []int // task -> core
 
-	// Ordering cache: one slot per OrderPolicy, valid for the current
-	// task set. Schemes sharing an effective ordering (all classical
-	// heuristics default to MaxUtilOrder) then sort the set only once
-	// per EvaluateAll batch.
-	ordIdx [2][]int
-	ordKey [2][]float64
-	ordOK  [2]bool
+	// Ordering cache: one order slot per OrderPolicy, valid for the
+	// current task set, and the sorts' shared scratch. Schemes sharing
+	// an effective ordering (all classical heuristics default to
+	// MaxUtilOrder) then sort the set only once per EvaluateAll batch.
+	ordIdx     [2][]int
+	ordOK      [2]bool
+	ordScratch mc.SortScratch
 
 	failed int // first unplaceable task, -1
 
@@ -209,9 +209,9 @@ func (a *allocator) orderTasks(def OrderPolicy) []int {
 	}
 	if !a.ordOK[slot] {
 		if policy == ContributionOrder {
-			a.ordIdx[slot], a.ordKey[slot] = mc.SortByContributionInto(a.ts, a.ordIdx[slot], a.ordKey[slot])
+			a.ordIdx[slot] = mc.SortByContributionInto(a.ts, a.ordIdx[slot], &a.ordScratch)
 		} else {
-			a.ordIdx[slot], a.ordKey[slot] = mc.SortByMaxUtilInto(a.ts, a.ordIdx[slot], a.ordKey[slot])
+			a.ordIdx[slot] = mc.SortByMaxUtilInto(a.ts, a.ordIdx[slot], &a.ordScratch)
 		}
 		a.ordOK[slot] = true
 	}

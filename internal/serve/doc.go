@@ -13,10 +13,10 @@
 // Robustness is layered, in request order:
 //
 //   - Deadlines. A timeout middleware derives every request's work
-//     context from r.Context(); the deadline is plumbed through
-//     Partitioner evaluation (partition.RunContext), and a deadline
-//     that fires mid-batch yields a partial-verdict response carrying
-//     the schemes that did complete.
+//     context from r.Context(); the evaluation checks it before each
+//     scheme's placement pass (one Prepare serves the whole batch),
+//     and a deadline that fires mid-batch yields a partial-verdict
+//     response carrying the schemes that did complete.
 //   - Backpressure. Admission work flows through a fixed-capacity
 //     queue; when it is full the daemon answers 429 with Retry-After
 //     instead of growing goroutines without bound.

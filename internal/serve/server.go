@@ -489,26 +489,32 @@ func (s *Server) evaluate(ctx context.Context, pool map[string]*partition.Partit
 	}
 	verdicts := make([]Verdict, 0, len(job.schemes))
 	firstAdmit := -1
+	// One Prepare serves every scheme: the utilization rows and both
+	// task orders are computed once, and each scheme pays only its
+	// placement pass and the cheap summary.
+	p.Prepare(job.ts)
 	for i, scheme := range job.schemes {
 		s.cfg.Hooks.duringEvaluate(job.tag, i)
-		res, err := p.RunContext(ctx, job.ts, scheme, nil)
-		if err != nil {
+		if ctx.Err() != nil {
 			resp.Partial = true
 			break
 		}
+		p.Place(scheme, nil)
+		ev := p.Summarize()
 		v := Verdict{
 			Scheme:   scheme.String(),
-			Admitted: res.Feasible,
+			Admitted: ev.Feasible,
 		}
-		if res.Feasible {
-			v.Usys = res.Usys
-			v.Uavg = res.Uavg
-			v.Imbalance = res.Imbalance
+		if ev.Feasible {
+			v.Usys = ev.Usys
+			v.Uavg = ev.Uavg
+			v.Imbalance = ev.Imbalance
 			if firstAdmit < 0 {
 				firstAdmit = len(verdicts)
-				// Result is owned by the Partitioner and recycled on the
-				// next run; the response needs its own copy.
-				v.Assignment = append([]int(nil), res.Assignment...)
+				v.Assignment = make([]int, job.ts.Len())
+				for ti := range v.Assignment {
+					v.Assignment[ti] = p.Assigned(ti)
+				}
 			}
 		}
 		verdicts = append(verdicts, v)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -129,11 +130,14 @@ func TestAdmitMatchesDirectEvaluation(t *testing.T) {
 			t.Errorf("Verdict = %q", resp.Verdict)
 		}
 		found := false
-		for _, v := range resp.Verdicts {
+		for i, v := range resp.Verdicts {
 			if len(v.Assignment) > 0 {
 				found = true
-				if len(v.Assignment) != ts.Len() {
-					t.Errorf("assignment length %d, want %d", len(v.Assignment), ts.Len())
+				// The first admitting scheme carries the assignment a
+				// direct Run of that scheme reports.
+				want := p.Run(ts, partition.Schemes[i], nil)
+				if !want.Feasible || !slices.Equal(v.Assignment, want.Assignment) {
+					t.Errorf("%s: assignment %v, direct Run gives %v", v.Scheme, v.Assignment, want.Assignment)
 				}
 				break
 			}
