@@ -178,7 +178,7 @@ var Schemes = partition.Schemes
 // Partition allocates ts onto m cores (k criticality levels) with the
 // given scheme; nil opts selects the paper's defaults.
 func Partition(ts *TaskSet, m, k int, scheme Scheme, opts *PartitionOptions) *PartitionResult {
-	return partition.Partition(ts, m, k, scheme, opts)
+	return partition.New(m, k).Run(ts, scheme, opts)
 }
 
 // ParseScheme maps a scheme name ("CA-TPA", "FFD", ...) to a Scheme.

@@ -167,7 +167,7 @@ func TestEDFVDvsFPAcceptance(t *testing.T) {
 	edf, fp := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		ts := dualSet(rng, 40, 0.6+0.2*rng.Float64(), 4)
-		if partition.Partition(ts, 4, 2, partition.CATPA, nil).Feasible {
+		if partition.New(4, 2).Run(ts, partition.CATPA, nil).Feasible {
 			edf++
 		}
 		r, err := Partition(ts, 4, partition.FFD)

@@ -74,7 +74,7 @@ func TestFFDOrder(t *testing.T) {
 // tau1 -> P2, tau2 -> P1, tau5 -> P2 and then fails on tau3.
 func TestTableIIFFDFails(t *testing.T) {
 	ts := TaskSet()
-	r := partition.Partition(ts, Cores, Levels, partition.FFD, &partition.Options{Trace: true})
+	r := partition.New(Cores, Levels).Run(ts, partition.FFD, &partition.Options{Trace: true})
 	if r.Feasible {
 		t.Fatal("FFD unexpectedly found a feasible partition")
 	}
@@ -101,7 +101,7 @@ func TestTableIIFFDFails(t *testing.T) {
 // P2 = {tau2, tau1, tau3}.
 func TestTableIIICATPASucceeds(t *testing.T) {
 	ts := TaskSet()
-	r := partition.Partition(ts, Cores, Levels, partition.CATPA, &partition.Options{Trace: true})
+	r := partition.New(Cores, Levels).Run(ts, partition.CATPA, &partition.Options{Trace: true})
 	if !r.Feasible {
 		t.Fatal("CA-TPA failed on the paper example")
 	}
@@ -157,13 +157,13 @@ func TestIntermediateUtilizations(t *testing.T) {
 // only discusses FFD on this example).
 func TestOtherBaselines(t *testing.T) {
 	ts := TaskSet()
-	if partition.Partition(ts, Cores, Levels, partition.BFD, nil).Feasible {
+	if partition.New(Cores, Levels).Run(ts, partition.BFD, nil).Feasible {
 		t.Error("BFD unexpectedly feasible")
 	}
-	if !partition.Partition(ts, Cores, Levels, partition.WFD, nil).Feasible {
+	if !partition.New(Cores, Levels).Run(ts, partition.WFD, nil).Feasible {
 		t.Error("WFD unexpectedly infeasible")
 	}
-	if !partition.Partition(ts, Cores, Levels, partition.Hybrid, nil).Feasible {
+	if !partition.New(Cores, Levels).Run(ts, partition.Hybrid, nil).Feasible {
 		t.Error("Hybrid unexpectedly infeasible")
 	}
 }
@@ -172,7 +172,7 @@ func TestOtherBaselines(t *testing.T) {
 // through the worst-case runtime simulation: no deadline misses.
 func TestExampleSurvivesRuntime(t *testing.T) {
 	ts := TaskSet()
-	r := partition.Partition(ts, Cores, Levels, partition.CATPA, nil)
+	r := partition.New(Cores, Levels).Run(ts, partition.CATPA, nil)
 	if !r.Feasible {
 		t.Fatal("infeasible")
 	}

@@ -16,8 +16,8 @@ func TestEq9LiteralOption(t *testing.T) {
 	bestWins, literalWins := 0, 0
 	for trial := 0; trial < 200; trial++ {
 		ts := randomSet(rng, 40, 4, 4, 0.55+0.15*rng.Float64())
-		rBest := Partition(ts, 4, 4, CATPA, nil)
-		rLit := Partition(ts, 4, 4, CATPA, &Options{Eq9Literal: true})
+		rBest := New(4, 4).Run(ts, CATPA, nil)
+		rLit := New(4, 4).Run(ts, CATPA, &Options{Eq9Literal: true})
 		if err := rBest.Verify(ts); err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestHybridMultiLevelSplit(t *testing.T) {
 		mkTask(4, 100, 1, 20),
 		mkTask(5, 100, 1, 20),
 	}}
-	r := Partition(ts, 2, 4, Hybrid, &Options{Trace: true})
+	r := New(2, 4).Run(ts, Hybrid, &Options{Trace: true})
 	if !r.Feasible {
 		t.Fatal("infeasible")
 	}
@@ -67,11 +67,11 @@ func TestHybridMultiLevelSplit(t *testing.T) {
 
 func TestResultStringForms(t *testing.T) {
 	ts := loSet(2, 0.4)
-	ok := Partition(ts, 2, 1, FFD, nil)
+	ok := New(2, 1).Run(ts, FFD, nil)
 	if s := ok.String(); !strings.Contains(s, "Usys") {
 		t.Errorf("feasible String = %q", s)
 	}
-	bad := Partition(loSet(3, 0.8), 2, 1, FFD, nil)
+	bad := New(2, 1).Run(loSet(3, 0.8), FFD, nil)
 	if s := bad.String(); !strings.Contains(s, "INFEASIBLE") {
 		t.Errorf("infeasible String = %q", s)
 	}
@@ -79,7 +79,7 @@ func TestResultStringForms(t *testing.T) {
 
 func TestResultSubsets(t *testing.T) {
 	ts := loSet(4, 0.3)
-	r := Partition(ts, 2, 1, WFD, nil)
+	r := New(2, 1).Run(ts, WFD, nil)
 	subs := r.Subsets(ts)
 	if len(subs) != 2 {
 		t.Fatalf("subsets = %d", len(subs))
@@ -102,7 +102,7 @@ func TestResultSubsets(t *testing.T) {
 
 func TestVerifyCatchesCorruption(t *testing.T) {
 	ts := loSet(4, 0.3)
-	r := Partition(ts, 2, 1, FFD, nil)
+	r := New(2, 1).Run(ts, FFD, nil)
 	if err := r.Verify(ts); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCATPANoProbeOption(t *testing.T) {
 	// NoProbe places on the first feasible core: identical tasks all
 	// land on core 0 until it would become infeasible.
 	ts := loSet(4, 0.3)
-	r := Partition(ts, 2, 1, CATPA, &Options{NoProbe: true, Alpha: InfAlpha()})
+	r := New(2, 1).Run(ts, CATPA, &Options{NoProbe: true, Alpha: InfAlpha()})
 	if !r.Feasible {
 		t.Fatal("infeasible")
 	}

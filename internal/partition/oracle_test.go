@@ -38,7 +38,7 @@ func TestSimOracleAcceptsAreSafe(t *testing.T) {
 		for idx := 0; idx < sets; idx++ {
 			ts := taskgen.GenerateIndexed(&cfg, seed, idx)
 			for _, scheme := range partition.Schemes {
-				res := partition.Partition(ts, cfg.M, cfg.K, scheme, nil)
+				res := partition.New(cfg.M, cfg.K).Run(ts, scheme, nil)
 				if !res.Feasible {
 					continue
 				}

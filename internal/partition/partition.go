@@ -7,19 +7,6 @@ import (
 	"catpa/internal/mc"
 )
 
-// Partition allocates the tasks of ts onto m homogeneous cores with
-// the given scheme. k is the number of system criticality levels and
-// must be at least ts.MaxCrit(); passing the system-wide K (rather
-// than the set's own maximum) matters because the generator may
-// produce sets that happen not to populate the top level.
-//
-// The returned result is self-contained; ts is not modified. Sweeps
-// that partition many sets with the same dimensions should reuse a
-// Partitioner instead, which amortizes all internal storage.
-func Partition(ts *mc.TaskSet, m, k int, scheme Scheme, opts *Options) *Result {
-	return New(m, k).Run(ts, scheme, opts)
-}
-
 // allocator is the one allocation shell shared by every heuristic and
 // every analysis backend: it owns the heuristic state of a run —
 // per-core task lists, the assignment, cached core utilizations,

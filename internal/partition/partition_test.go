@@ -26,7 +26,7 @@ func loSet(n int, u float64) *mc.TaskSet {
 
 func TestWFDSpreadsLoad(t *testing.T) {
 	// Four identical tasks on four cores: WFD puts one per core.
-	r := Partition(loSet(4, 0.6), 4, 1, WFD, nil)
+	r := New(4, 1).Run(loSet(4, 0.6), WFD, nil)
 	if !r.Feasible {
 		t.Fatal("WFD infeasible")
 	}
@@ -42,7 +42,7 @@ func TestWFDSpreadsLoad(t *testing.T) {
 
 func TestFFDPacksFirstCore(t *testing.T) {
 	// Three tasks of 0.3 fit on one core under FFD.
-	r := Partition(loSet(3, 0.3), 2, 1, FFD, nil)
+	r := New(2, 1).Run(loSet(3, 0.3), FFD, nil)
 	if !r.Feasible {
 		t.Fatal("FFD infeasible")
 	}
@@ -62,7 +62,7 @@ func TestBFDPrefersFullestCore(t *testing.T) {
 		mkTask(2, 100, 1, 30), // 0.3
 		mkTask(3, 100, 1, 20), // 0.2
 	}}
-	r := Partition(ts, 2, 1, BFD, nil)
+	r := New(2, 1).Run(ts, BFD, nil)
 	if !r.Feasible {
 		t.Fatal("BFD infeasible")
 	}
@@ -75,7 +75,7 @@ func TestBFDPrefersFullestCore(t *testing.T) {
 func TestWFDWorstCaseSplitsBigTasks(t *testing.T) {
 	// Two 0.7 tasks, two cores: WFD must place one per core; a second
 	// 0.7 on the same core would exceed capacity anyway.
-	r := Partition(loSet(2, 0.7), 2, 1, WFD, nil)
+	r := New(2, 1).Run(loSet(2, 0.7), WFD, nil)
 	if !r.Feasible {
 		t.Fatal("WFD infeasible")
 	}
@@ -87,7 +87,7 @@ func TestWFDWorstCaseSplitsBigTasks(t *testing.T) {
 func TestInfeasibleWhenOverloaded(t *testing.T) {
 	// 3 tasks of 0.8 on 2 cores can never fit.
 	for _, s := range Schemes {
-		r := Partition(loSet(3, 0.8), 2, 1, s, nil)
+		r := New(2, 1).Run(loSet(3, 0.8), s, nil)
 		if r.Feasible {
 			t.Errorf("%v accepted an overloaded set", s)
 		}
@@ -106,7 +106,7 @@ func TestHybridPlacesHIFirstWithWFD(t *testing.T) {
 		mkTask(3, 100, 1, 30),     // LO 0.3
 		mkTask(4, 100, 1, 30),     // LO 0.3
 	}}
-	r := Partition(ts, 2, 2, Hybrid, nil)
+	r := New(2, 2).Run(ts, Hybrid, nil)
 	if !r.Feasible {
 		t.Fatal("Hybrid infeasible")
 	}
@@ -126,7 +126,7 @@ func TestCATPABasicFeasible(t *testing.T) {
 		mkTask(3, 100, 1, 40),
 		mkTask(4, 100, 1, 40),
 	}}
-	r := Partition(ts, 2, 2, CATPA, nil)
+	r := New(2, 2).Run(ts, CATPA, nil)
 	if !r.Feasible {
 		t.Fatal("CA-TPA infeasible on an easy set")
 	}
@@ -137,7 +137,7 @@ func TestCATPABasicFeasible(t *testing.T) {
 
 func TestCATPAMinIncrementTieBreaksToSmallerIndex(t *testing.T) {
 	// One task, all cores identical and empty: must land on core 0.
-	r := Partition(loSet(1, 0.5), 4, 1, CATPA, nil)
+	r := New(4, 1).Run(loSet(1, 0.5), CATPA, nil)
 	if r.Assignment[0] != 0 {
 		t.Errorf("task placed on core %d, want 0", r.Assignment[0])
 	}
@@ -147,7 +147,7 @@ func TestCATPAImbalanceFallback(t *testing.T) {
 	// With alpha tiny the fallback is always active; allocation then
 	// mimics least-loaded placement and yields a balanced partition.
 	ts := loSet(8, 0.4)
-	r := Partition(ts, 4, 1, CATPA, &Options{Alpha: 0.01})
+	r := New(4, 1).Run(ts, CATPA, &Options{Alpha: 0.01})
 	if !r.Feasible {
 		t.Fatal("infeasible")
 	}
@@ -166,7 +166,7 @@ func TestCATPAAlphaInfNeverFallsBack(t *testing.T) {
 	// core 0 (min increment ties resolve to the smallest index) as
 	// long as it stays feasible.
 	ts := loSet(3, 0.2)
-	r := Partition(ts, 2, 1, CATPA, &Options{Alpha: InfAlpha()})
+	r := New(2, 1).Run(ts, CATPA, &Options{Alpha: InfAlpha()})
 	for i, c := range r.Assignment {
 		if c != 0 {
 			t.Errorf("task %d on core %d, want 0", i, c)
@@ -204,7 +204,7 @@ func TestCATPAProbePrefersCheaperCore(t *testing.T) {
 
 func TestTraceRecorded(t *testing.T) {
 	ts := loSet(3, 0.2)
-	r := Partition(ts, 2, 1, CATPA, &Options{Trace: true})
+	r := New(2, 1).Run(ts, CATPA, &Options{Trace: true})
 	if len(r.Trace) != 3 {
 		t.Fatalf("trace has %d steps, want 3", len(r.Trace))
 	}
@@ -219,7 +219,7 @@ func TestTraceRecorded(t *testing.T) {
 }
 
 func TestTraceRecordsFailure(t *testing.T) {
-	r := Partition(loSet(3, 0.8), 2, 1, FFD, &Options{Trace: true})
+	r := New(2, 1).Run(loSet(3, 0.8), FFD, &Options{Trace: true})
 	last := r.Trace[len(r.Trace)-1]
 	if last.Core != -1 {
 		t.Errorf("last step core = %d, want -1", last.Core)
@@ -228,10 +228,10 @@ func TestTraceRecordsFailure(t *testing.T) {
 
 func TestPartitionPanics(t *testing.T) {
 	ts := loSet(1, 0.5)
-	mustPanic(t, "M=0", func() { Partition(ts, 0, 1, FFD, nil) })
+	mustPanic(t, "M=0", func() { New(0, 1).Run(ts, FFD, nil) })
 	hi := &mc.TaskSet{Tasks: []mc.Task{mkTask(1, 10, 2, 1, 2)}}
-	mustPanic(t, "K below crit", func() { Partition(hi, 1, 1, FFD, nil) })
-	mustPanic(t, "bad scheme", func() { Partition(ts, 1, 1, Scheme(99), nil) })
+	mustPanic(t, "K below crit", func() { New(1, 1).Run(hi, FFD, nil) })
+	mustPanic(t, "bad scheme", func() { New(1, 1).Run(ts, Scheme(99), nil) })
 }
 
 func mustPanic(t *testing.T, name string, f func()) {
@@ -301,7 +301,7 @@ func TestAllSchemesProduceConsistentResults(t *testing.T) {
 		nsu := 0.3 + rng.Float64()*0.5
 		ts := randomSet(rng, n, m, k, nsu)
 		for _, s := range Schemes {
-			r := Partition(ts, m, k, s, nil)
+			r := New(m, k).Run(ts, s, nil)
 			if err := r.Verify(ts); err != nil {
 				t.Fatalf("trial %d scheme %v: %v", trial, s, err)
 			}
@@ -323,7 +323,7 @@ func TestFeasibleAssignmentComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ts := randomSet(rng, 24, 4, 3, 0.4)
 	for _, s := range Schemes {
-		r := Partition(ts, 4, 3, s, nil)
+		r := New(4, 3).Run(ts, s, nil)
 		if !r.Feasible {
 			continue
 		}
@@ -352,8 +352,8 @@ func TestCATPAUsuallyAtLeastAsGoodAsWFD(t *testing.T) {
 	catpaWins, wfdWins := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		ts := randomSet(rng, 40, 4, 3, 0.55+0.2*rng.Float64())
-		ca := Partition(ts, 4, 3, CATPA, nil).Feasible
-		wf := Partition(ts, 4, 3, WFD, nil).Feasible
+		ca := New(4, 3).Run(ts, CATPA, nil).Feasible
+		wf := New(4, 3).Run(ts, WFD, nil).Feasible
 		if ca {
 			catpaWins++
 		}

@@ -19,8 +19,8 @@ type Partitioner struct {
 
 // New returns a Partitioner for m cores and k criticality levels,
 // analyzed with the default EDF-VD Theorem-1 backend. It panics if
-// m < 1; k values below 1 are normalized to 1 (matching Partition's
-// handling of empty task sets).
+// m < 1; k values below 1 are normalized to 1, so an empty task set
+// still has one level.
 func New(m, k int) *Partitioner {
 	return NewWithBackend(m, k, &edfvdBackend{})
 }
@@ -63,14 +63,13 @@ func (p *Partitioner) M() int { return p.a.m }
 //mc:allocfree accessor
 func (p *Partitioner) K() int { return p.a.k }
 
-// Run partitions ts with the given scheme and returns the full Result,
-// bit-identical (feasibility, assignment, per-core reports, metrics)
-// to Partition(ts, p.M(), p.K(), scheme, opts).
+// Run partitions ts with the given scheme and returns the full Result:
+// feasibility, assignment, per-core reports and metrics.
 //
 // The returned Result and its slices are owned by the Partitioner and
 // remain valid only until the next Run or Reset; callers that retain a
 // result across runs must deep-copy it first. ts must not exceed the
-// configured K (same panic as Partition) and is not modified.
+// configured K (Run panics otherwise) and is not modified.
 //
 //mc:allocfree steady state: every Result slice is amortized in the Partitioner
 func (p *Partitioner) Run(ts *mc.TaskSet, scheme Scheme, opts *Options) *Result {

@@ -37,8 +37,8 @@ func sameResult(t *testing.T, ctx string, a, b *partition.Result) {
 			t.Fatalf("%s: task %d assigned to %d vs %d", ctx, i, a.Assignment[i], b.Assignment[i])
 		}
 	}
-	// Metrics must be bit-identical, not merely close: the fast path
-	// promises the exact floats of the legacy path.
+	// Metrics must be bit-identical, not merely close: a reused engine
+	// promises the exact floats of a fresh one.
 	if a.Usys != b.Usys || a.Uavg != b.Uavg || a.Imbalance != b.Imbalance {
 		t.Fatalf("%s: metrics (%v,%v,%v) vs (%v,%v,%v)",
 			ctx, a.Usys, a.Uavg, a.Imbalance, b.Usys, b.Uavg, b.Imbalance)
@@ -70,8 +70,8 @@ func sameResult(t *testing.T, ctx string, a, b *partition.Result) {
 }
 
 // TestPartitionerEquivalence asserts that a Partitioner reused across
-// a randomized population returns bit-identical results to the legacy
-// one-shot Partition entry point, for every scheme and K = 2..6.
+// a randomized population returns bit-identical results to a fresh
+// Partitioner per set, for every scheme and K = 2..6.
 func TestPartitionerEquivalence(t *testing.T) {
 	for k := 2; k <= 6; k++ {
 		for _, m := range []int{2, 4, 8} {
@@ -80,7 +80,7 @@ func TestPartitionerEquivalence(t *testing.T) {
 			for idx := 0; idx < 40; idx++ {
 				ts := taskgen.GenerateIndexed(&cfg, int64(1000*k+m), idx)
 				for _, s := range partition.Schemes {
-					want := partition.Partition(ts, m, k, s, nil)
+					want := partition.New(m, k).Run(ts, s, nil)
 					got := p.Run(ts, s, nil)
 					sameResult(t, s.String(), want, got)
 				}
@@ -132,7 +132,7 @@ func TestPartitionerOptionsEquivalence(t *testing.T) {
 		ts := taskgen.GenerateIndexed(&cfg, 42, idx)
 		for _, opts := range optsList {
 			for _, s := range partition.Schemes {
-				want := partition.Partition(ts, 8, 4, s, opts)
+				want := partition.New(8, 4).Run(ts, s, opts)
 				got := p.Run(ts, s, opts)
 				sameResult(t, s.String(), want, got)
 			}
@@ -151,7 +151,7 @@ func TestPartitionerReset(t *testing.T) {
 		for idx := 0; idx < 10; idx++ {
 			ts := taskgen.GenerateIndexed(&cfg, 9, idx)
 			for _, s := range partition.Schemes {
-				want := partition.Partition(ts, m, k, s, nil)
+				want := partition.New(m, k).Run(ts, s, nil)
 				got := p.Run(ts, s, nil)
 				sameResult(t, s.String(), want, got)
 			}
@@ -160,7 +160,7 @@ func TestPartitionerReset(t *testing.T) {
 }
 
 // TestPartitionerTrace asserts the trace fast-path interaction: traces
-// from the reusable engine match the legacy ones step for step.
+// from the reused engine match a fresh engine's step for step.
 func TestPartitionerTrace(t *testing.T) {
 	cfg := popConfig(4, 3)
 	p := partition.New(4, 3)
@@ -168,7 +168,7 @@ func TestPartitionerTrace(t *testing.T) {
 	for idx := 0; idx < 10; idx++ {
 		ts := taskgen.GenerateIndexed(&cfg, 5, idx)
 		for _, s := range partition.Schemes {
-			want := partition.Partition(ts, 4, 3, s, opts)
+			want := partition.New(4, 3).Run(ts, s, opts)
 			got := p.Run(ts, s, opts)
 			if len(want.Trace) != len(got.Trace) {
 				t.Fatalf("%s: trace length %d vs %d", s, len(want.Trace), len(got.Trace))
@@ -213,7 +213,7 @@ func TestPartitionerRunAliasing(t *testing.T) {
 	}
 }
 
-// TestNewPanicsOnInvalidCores mirrors the legacy Partition contract.
+// TestNewPanicsOnInvalidCores: New refuses m < 1.
 func TestNewPanicsOnInvalidCores(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -223,7 +223,8 @@ func TestNewPanicsOnInvalidCores(t *testing.T) {
 	partition.New(0, 2)
 }
 
-// TestRunPanicsBelowMaxCrit mirrors the legacy K validation.
+// TestRunPanicsBelowMaxCrit: Run refuses a set whose criticality
+// exceeds the configured K.
 func TestRunPanicsBelowMaxCrit(t *testing.T) {
 	ts := mc.NewTaskSet(
 		mc.MustTask(1, "", 10, 1, 2, 3),

@@ -149,7 +149,7 @@ func TestQuarantineExactCounts(t *testing.T) {
 
 	// The affected point: totals exact, and hits drop by exactly the
 	// golden feasibility of the quarantined set per scheme. Recompute
-	// that feasibility independently through the one-shot API.
+	// that feasibility independently on a fresh Partitioner.
 	cfg := taskgen.DefaultConfig()
 	cfg.M = 4
 	cfg.K = 3
@@ -164,7 +164,7 @@ func TestQuarantineExactCounts(t *testing.T) {
 			t.Errorf("%v: total %d, want %d", scheme, cell.Sched.N(), sw.Sets)
 		}
 		delta := int64(0)
-		if partition.Partition(ts, 4, 3, scheme, &opts).Feasible {
+		if partition.New(4, 3).Run(ts, scheme, &opts).Feasible {
 			delta = 1
 		}
 		if got, want := cell.Sched.Hits(), gold.Sched.Hits()-delta; got != want {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"catpa/internal/mc"
@@ -71,8 +73,12 @@ func readBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
 //   - null leaves a field at its zero value (a null task_set is nil);
 //   - a string holding an escape or a non-ASCII byte is unquoted by
 //     json.Unmarshal on that token alone;
-//   - numbers convert with strconv exactly as encoding/json does, so
-//     int fields refuse 8.0, 1e2 and "8", and floats are bitwise equal.
+//   - numbers are scanned once, collecting the significand and the
+//     decimal exponent while the grammar is checked; floats convert
+//     exactly from those (numToken.float) or, outside that path,
+//     through strconv.ParseFloat, and ints through the same
+//     accumulator or strconv.Atoi, so floats are bitwise what
+//     encoding/json gives and int fields refuse 8.0, 1e2 and "8".
 //
 // The task set's WCET vectors share one slab. The allocation count
 // does not grow with the number of tasks or fields as long as the body
@@ -282,15 +288,28 @@ func (d *decoder) intValue(dst *int) error {
 	if d.literal("null") {
 		return nil
 	}
-	tok, err := d.number("an integer")
+	n, err := d.number("an integer")
 	if err != nil {
 		return err
 	}
-	n, err := strconv.Atoi(string(tok))
-	if err != nil {
-		return fmt.Errorf("want an integer, got %s", tok)
+	if n.frac {
+		return fmt.Errorf("want an integer, got %s", n.tok)
 	}
-	*dst = n
+	// Up to 18 digits always fit an int64; longer tokens take strconv,
+	// which reports overflow.
+	if n.nd <= 18 && n.mant <= math.MaxInt {
+		v := int(n.mant)
+		if n.neg {
+			v = -v
+		}
+		*dst = v
+		return nil
+	}
+	v, err := strconv.Atoi(string(n.tok))
+	if err != nil {
+		return fmt.Errorf("want an integer, got %s", n.tok)
+	}
+	*dst = v
 	return nil
 }
 
@@ -298,13 +317,17 @@ func (d *decoder) floatValue(dst *float64) error {
 	if d.literal("null") {
 		return nil
 	}
-	tok, err := d.number("a number")
+	n, err := d.number("a number")
 	if err != nil {
 		return err
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
+	if v, ok := n.float(); ok {
+		*dst = v
+		return nil
+	}
+	v, err := strconv.ParseFloat(string(n.tok), 64)
 	if err != nil {
-		return fmt.Errorf("number %s out of range", tok)
+		return fmt.Errorf("number %s out of range", n.tok)
 	}
 	*dst = v
 	return nil
@@ -520,43 +543,175 @@ func (d *decoder) scanString() (plain bool, err error) {
 	return false, d.syntaxError("in string literal")
 }
 
-// number checks and consumes the number token at the cursor; want
+// numToken is one JSON number as number scanned it: the token, and its
+// value as ±mant·10^exp, exact while the token has at most
+// maxMantDigits significant digits.
+type numToken struct {
+	tok  []byte
+	mant uint64 // the first maxMantDigits significant digits
+	exp  int    // decimal exponent of mant, clamped far outside float64 range
+	nd   int    // significant digits seen; leading zeros do not count
+	neg  bool
+	frac bool // a fraction or exponent part is present
+}
+
+// maxMantDigits is the most decimal digits a uint64 always holds.
+const maxMantDigits = 19
+
+// number checks and consumes the number token at the cursor,
+// collecting its significand and decimal exponent on the way; want
 // names the expected type for the error when there is none.
-func (d *decoder) number(want string) ([]byte, error) {
+func (d *decoder) number(want string) (numToken, error) {
+	var n numToken
 	data, start, i := d.data, d.pos, d.pos
 	if i < len(data) && data[i] == '-' {
+		n.neg = true
 		i++
 	}
 	switch {
 	case i < len(data) && data[i] == '0':
 		i++
 	case i < len(data) && '1' <= data[i] && data[i] <= '9':
-		i = skipDigits(data, i+1)
+		i = n.digits(data, i, false)
 	case i == start:
-		return nil, d.typeError(want)
+		return n, d.typeError(want)
 	default:
 		d.pos = i
-		return nil, d.syntaxError("in numeric literal")
+		return n, d.syntaxError("in numeric literal")
 	}
 	if i < len(data) && data[i] == '.' {
+		n.frac = true
 		if i++; i >= len(data) || !isDigit(data[i]) {
 			d.pos = i
-			return nil, d.syntaxError("after decimal point in numeric literal")
+			return n, d.syntaxError("after decimal point in numeric literal")
 		}
-		i = skipDigits(data, i)
+		i = n.digits(data, i, true)
 	}
 	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		n.frac = true
+		negExp := false
 		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			negExp = data[i] == '-'
 			i++
 		}
 		if i >= len(data) || !isDigit(data[i]) {
 			d.pos = i
-			return nil, d.syntaxError("in exponent of numeric literal")
+			return n, d.syntaxError("in exponent of numeric literal")
 		}
-		i = skipDigits(data, i)
+		e := 0
+		for ; i < len(data) && isDigit(data[i]); i++ {
+			if e < 1e6 { // far past float64 range; stop before overflow
+				e = e*10 + int(data[i]-'0')
+			}
+		}
+		if negExp {
+			e = -e
+		}
+		n.exp += e
 	}
 	d.pos = i
-	return data[start:i], nil
+	n.tok = data[start:i]
+	return n, nil
+}
+
+// digits consumes the digit run at i into the significand; fraction
+// digits also scale the exponent down.
+func (n *numToken) digits(data []byte, i int, frac bool) int {
+	start, mant, nd := i, n.mant, n.nd
+	if nd == 0 { // leading zeros are not significant
+		for i < len(data) && data[i] == '0' {
+			i++
+		}
+	}
+	for ; i < len(data) && isDigit(data[i]); i++ {
+		if nd < maxMantDigits {
+			mant = mant*10 + uint64(data[i]-'0')
+		}
+		nd++
+	}
+	n.mant, n.nd = mant, nd
+	if frac {
+		n.exp -= i - start
+	}
+	return i
+}
+
+// pow5 holds 5^0 through 5^27, every power of five below 2^64.
+var pow5 = func() (p [28]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = 5 * p[i-1]
+	}
+	return p
+}()
+
+// float converts the token exactly when its value is M·10^e with a
+// complete significand M and either -27 <= e <= 0 or M·5^e < 2^64:
+// writing 10^e = 5^e·2^e, the value is then the ratio of two integers
+// below 2^64 times a power of two, which ratToFloat rounds correctly.
+// It reports false for every other token, which then takes
+// strconv.ParseFloat. json.Marshal writes shortest round-trip digits
+// (at most 17), so its output for every magnitude from 1e-11 up to
+// 1e19 takes the exact path.
+func (n *numToken) float() (float64, bool) {
+	if n.nd > maxMantDigits {
+		return 0, false
+	}
+	var v float64
+	switch {
+	case n.mant == 0:
+	case n.exp < 0 && -n.exp < len(pow5):
+		v = ratToFloat(n.mant, pow5[-n.exp], n.exp)
+	case n.exp >= 0 && n.exp < len(pow5):
+		hi, lo := bits.Mul64(n.mant, pow5[n.exp])
+		if hi != 0 {
+			return 0, false
+		}
+		v = ratToFloat(lo, 1, n.exp)
+	default:
+		return 0, false
+	}
+	if n.neg {
+		v = -v
+	}
+	return v, true
+}
+
+// ratToFloat returns num/den·2^bexp rounded to the nearest float64,
+// ties to even, for num, den >= 1 and a result in the normal range
+// (callers keep it within 2^±100). It scales num by 2^s so that the
+// 128/64-bit quotient q = ⌊num·2^s/den⌋ has exactly 53 bits; the
+// remainder r then decides the rounding exactly: up when r/den > 1/2,
+// to even when r/den = 1/2.
+func ratToFloat(num, den uint64, bexp int) float64 {
+	nb, db := bits.Len64(num), bits.Len64(den)
+	// num/den lies in [2^(nb-db), 2^(nb-db+1)) when num's leading bits
+	// are at least den's, and in (2^(nb-db-1), 2^(nb-db)) otherwise.
+	s := 53 - nb + db
+	if num<<(64-nb) >= den<<(64-db) {
+		s--
+	}
+	var q, r uint64
+	if s >= 0 {
+		// q < 2^53 keeps the high word below den, as Div64 requires.
+		var hi, lo uint64
+		if s < 64 {
+			hi, lo = num>>(64-s), num<<s
+		} else {
+			hi = num << (s - 64)
+		}
+		q, r = bits.Div64(hi, lo, den)
+	} else {
+		den <<= -s // num has at most 64 bits, so den stays below 2^64
+		q, r = num/den, num%den
+	}
+	if half := den - r; r > half || r == half && q&1 == 1 {
+		if q++; q == 1<<53 {
+			q >>= 1
+			s--
+		}
+	}
+	return math.Float64frombits(uint64(bexp-s+52+1023)<<52 | q&(1<<52-1))
 }
 
 // literal consumes lit if the input continues with it.
@@ -607,11 +762,4 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isHex(c byte) bool {
 	return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-func skipDigits(data []byte, i int) int {
-	for i < len(data) && isDigit(data[i]) {
-		i++
-	}
-	return i
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -256,6 +258,131 @@ func TestDecodeRequestEdgeCases(t *testing.T) {
 	}
 }
 
+// numberEdgeCases are number tokens at the edges of the decoder's
+// exact conversion: halfway cases in both rounding directions, the
+// 19/20-digit significand boundary, the exponent limits of the exact
+// path, signed zeros and int overflow.
+var numberEdgeCases = []string{
+	"0", "-0", "0.0", "-0.0", "0e400", "-0e-400", "0.000",
+	"4503599627370496.5", "4503599627370497.5", "9007199254740993", "9007199254740995",
+	"9007199254740993e0", "900719925474099.3e1", "18014398509481985", "18014398509481987",
+	"1.00000000000000011102230246251565404236316680908203125",
+	"1.00000000000000011102230246251565404236316680908203124",
+	"1.00000000000000011102230246251565404236316680908203126",
+	"9999999999999999999", "10000000000000000000", "12345678901234567890", "18446744073709551615",
+	"18446744073709551616", "-9223372036854775808", "9223372036854775807", "9223372036854775808",
+	"99999999999999999999", "0.1", "0.3", "2.5e-3", "1e-27", "1e-28", "9.999999999999999e-28",
+	"1e27", "1e28", "7450580596923828125e-27", "7450580596923828125e27", "1.7976931348623157e308",
+	"4.9406564584124654e-324", "2.2250738585072014e-308", "1e400", "-1e400", "1e-400",
+	"123e-2", "100e-2", "1E2", "1e+2", "-1.5E-3", "0.0000001", "1e-7",
+}
+
+// decodeNumber runs tok alone through the decoder's float or int path.
+func decodeNumber(tok string, asInt bool) (float64, int, error) {
+	d := decoder{data: []byte(tok)}
+	var f float64
+	var n int
+	var err error
+	if asInt {
+		err = d.intValue(&n)
+	} else {
+		err = d.floatValue(&f)
+	}
+	if err == nil && d.pos != len(tok) {
+		err = errTrailingData
+	}
+	return f, n, err
+}
+
+// TestDecodeNumbersMatchStrconv: the decoder's one-pass number path
+// agrees bitwise with strconv.ParseFloat and with strconv.Atoi, on the
+// exact conversion and on the fallback alike.
+func TestDecodeNumbersMatchStrconv(t *testing.T) {
+	checkFloat := func(tok string) {
+		t.Helper()
+		want, werr := strconv.ParseFloat(tok, 64)
+		got, _, err := decodeNumber(tok, false)
+		if (err != nil) != (werr != nil) || err == nil && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: decoded %v (%#x, err %v), strconv %v (%#x, err %v)",
+				tok, got, math.Float64bits(got), err, want, math.Float64bits(want), werr)
+		}
+	}
+	checkInt := func(tok string) {
+		t.Helper()
+		want, werr := strconv.Atoi(tok)
+		_, got, err := decodeNumber(tok, true)
+		if (err != nil) != (werr != nil) || err == nil && got != want {
+			t.Fatalf("%s: decoded int %d (err %v), strconv %d (err %v)", tok, got, err, want, werr)
+		}
+	}
+	for _, tok := range numberEdgeCases {
+		checkFloat(tok)
+		checkInt(tok)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	// json.Marshal's own formatting, 'e' forms included: half random
+	// bit patterns, half values spread over the magnitudes task
+	// parameters take. Inside [1e-11, 1e19) every one must take the
+	// exact path, not the strconv fallback.
+	exact := 0
+	for i := 0; i < 1<<20; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if i%2 == 1 {
+			f = rng.Float64() * math.Pow10(rng.Intn(40)-20)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFloat(string(b))
+		if a := math.Abs(f); a >= 1e-11 && a < 1e19 {
+			d := decoder{data: b}
+			n, err := d.number("a number")
+			if _, ok := n.float(); err != nil || !ok {
+				t.Fatalf("%s (json.Marshal of %v) missed the exact path", b, f)
+			}
+			exact++
+		}
+	}
+	if exact < 1<<18 {
+		t.Fatalf("only %d values exercised the exact path", exact)
+	}
+
+	// Random 1-19 digit decimals with a random point and exponent, and
+	// 20-21 digit ones that must fall back.
+	digits := make([]byte, 0, 32)
+	for i := 0; i < 1<<18; i++ {
+		digits = digits[:0]
+		nd := 1 + rng.Intn(21)
+		for j := 0; j < nd; j++ {
+			digits = append(digits, byte('0'+rng.Intn(10)))
+		}
+		if digits[0] == '0' && nd > 1 {
+			digits[0] = byte('1' + rng.Intn(9))
+		}
+		tok := string(digits)
+		if p := rng.Intn(nd + 1); p < nd {
+			if p == 0 {
+				tok = "0." + tok
+			} else {
+				tok = tok[:p] + "." + tok[p:]
+			}
+		}
+		if rng.Intn(2) == 0 {
+			tok += fmt.Sprintf("e%d", rng.Intn(80)-40)
+		}
+		if rng.Intn(2) == 0 {
+			tok = "-" + tok
+		}
+		checkFloat(tok)
+		checkInt(tok)
+	}
+}
+
 // TestDecodeRequestSharesOneSlab: every WCET vector lives in one slab,
 // capped so that appending to one cannot overwrite the next.
 func TestDecodeRequestSharesOneSlab(t *testing.T) {
@@ -381,7 +508,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 // FuzzAdmitDecode is the differential fuzz of the admission decoder
 // against encoding/json (see checkDecode); any panic fails it too. The
 // committed corpus holds json.Marshal-encoded 1-, 8- and 96-task
-// requests; the edge cases seed the rest.
+// requests; the edge cases and the number edge cases seed the rest.
 func FuzzAdmitDecode(f *testing.F) {
 	for _, tc := range decodeCases {
 		// The nesting-limit bodies stay out: mutants of 20 KB seeds take
@@ -389,6 +516,10 @@ func FuzzAdmitDecode(f *testing.F) {
 		if len(tc.body) < maxDepth {
 			f.Add([]byte(tc.body))
 		}
+	}
+	for _, tok := range numberEdgeCases {
+		f.Add([]byte(`{"m":` + tok + `}`))
+		f.Add([]byte(`{"task_set":{"tasks":[{"period":` + tok + `,"wcet":[` + tok + `]}]}}`))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		_, _ = checkDecode(t, body)

@@ -17,7 +17,8 @@ type Hooks struct {
 	// dequeued, before any partitioning work.
 	BeforeEvaluate func(tag string)
 	// DuringEvaluate fires in the worker between scheme evaluations
-	// (before scheme index i), modeling a slow analysis backend.
+	// (before scheme index i), modeling a slow analysis backend. A set
+	// the utilization screen rejects runs no scheme, so it never fires.
 	DuringEvaluate func(tag string, i int)
 }
 

@@ -115,6 +115,14 @@ func (c Config) withDefaults() Config {
 // metrics is the daemon's observability surface; every name is
 // registered exactly once here. A nil *metrics (no registry) is a
 // no-op via the obs nil-receiver contract.
+//
+// The stage histograms split one admission along its path: decode
+// (body read, decode, normalize), cache (the verdict-cache lookup),
+// queue_wait (enqueue to dequeue), analyze (the worker's evaluation,
+// screen included) and encode (the response write). Cache hits and
+// degraded answers skip queue_wait and analyze. screened counts the
+// full-path requests the utilization screen answered without running
+// the analysis.
 type metrics struct {
 	requests  *obs.Counter   // serve.requests.total
 	admitted  *obs.Counter   // serve.requests.admitted
@@ -124,10 +132,17 @@ type metrics struct {
 	degraded  *obs.Counter   // serve.requests.degraded
 	partial   *obs.Counter   // serve.requests.partial
 	cached    *obs.Counter   // serve.requests.cached
+	screened  *obs.Counter   // serve.requests.screened
 	badReq    *obs.Counter   // serve.requests.invalid
 	panics    *obs.Counter   // serve.panics.recovered
 	depth     *obs.Gauge     // serve.queue.depth
 	latency   *obs.Histogram // serve.request.seconds
+
+	decode    *obs.Histogram // stage.serve.decode.seconds
+	cache     *obs.Histogram // stage.serve.cache.seconds
+	queueWait *obs.Histogram // stage.serve.queue_wait.seconds
+	analyze   *obs.Histogram // stage.serve.analyze.seconds
+	encode    *obs.Histogram // stage.serve.encode.seconds
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -143,10 +158,16 @@ func newMetrics(reg *obs.Registry) *metrics {
 		degraded:  reg.Counter("serve.requests.degraded"),
 		partial:   reg.Counter("serve.requests.partial"),
 		cached:    reg.Counter("serve.requests.cached"),
+		screened:  reg.Counter("serve.requests.screened"),
 		badReq:    reg.Counter("serve.requests.invalid"),
 		panics:    reg.Counter("serve.panics.recovered"),
 		depth:     reg.Gauge("serve.queue.depth"),
 		latency:   reg.Histogram("serve.request.seconds", nil),
+		decode:    reg.Histogram("stage.serve.decode.seconds", nil),
+		cache:     reg.Histogram("stage.serve.cache.seconds", nil),
+		queueWait: reg.Histogram("stage.serve.queue_wait.seconds", nil),
+		analyze:   reg.Histogram("stage.serve.analyze.seconds", nil),
+		encode:    reg.Histogram("stage.serve.encode.seconds", nil),
 	}
 }
 
@@ -154,9 +175,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 // buffered (capacity 1) so a worker can always publish its verdict
 // without blocking, even after the handler gave up.
 type workItem struct {
-	ctx  context.Context
-	job  *admitJob
-	done chan *Response
+	ctx    context.Context
+	job    *admitJob
+	done   chan *Response
+	queued time.Time
 }
 
 // Server is the admission-control daemon: an http.Handler exposing
@@ -273,12 +295,14 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	decode := obs.StartSpan(s.met.decode)
 	var req Request
 	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
 	if err == nil {
 		err = decodeRequest(body, &req)
 	}
 	if err != nil {
+		decode.End()
 		s.met.badReq.Inc()
 		writeJSON(w, http.StatusBadRequest, &Response{
 			Verdict: VerdictUncertain,
@@ -287,6 +311,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := normalize(&req, s.cfg.MaxTasks, s.cfg.MaxCores)
+	decode.End()
 	if err != nil {
 		s.met.badReq.Inc()
 		writeJSON(w, http.StatusBadRequest, &Response{
@@ -299,7 +324,10 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Hooks.inHandler(job.tag)
 
 	key := cacheKey{job.hash, job.m, job.k, job.backend, job.schemeNames()}
-	if hit := s.cache.get(key); hit != nil {
+	lookup := obs.StartSpan(s.met.cache)
+	hit := s.cache.get(key)
+	lookup.End()
+	if hit != nil {
 		s.met.cached.Inc()
 		resp := *hit // shallow copy; cached entries are read-only
 		resp.Cached = true
@@ -326,7 +354,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	it := &workItem{ctx: ctx, job: job, done: make(chan *Response, 1)}
+	it := &workItem{ctx: ctx, job: job, done: make(chan *Response, 1), queued: time.Now()}
 	select {
 	case s.jobs <- it:
 		s.met.depth.Set(float64(len(s.jobs)))
@@ -394,7 +422,9 @@ func (s *Server) finish(w http.ResponseWriter, key cacheKey, resp *Response, sta
 
 func (s *Server) respond(w http.ResponseWriter, status int, resp *Response, start time.Time) {
 	s.met.latency.Observe(time.Since(start))
+	encode := obs.StartSpan(s.met.encode)
 	writeJSON(w, status, resp)
+	encode.End()
 }
 
 // degradedResponse is the load-shedding tier: a probe-only screen that
@@ -444,6 +474,7 @@ func (s *Server) worker() {
 // serveJob runs one admission job inside the per-request panic
 // quarantine and always publishes exactly one response on it.done.
 func (s *Server) serveJob(pool map[string]*partition.Partitioner, it *workItem) {
+	s.met.queueWait.Observe(time.Since(it.queued))
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.met.panics.Inc()
@@ -457,12 +488,17 @@ func (s *Server) serveJob(pool map[string]*partition.Partitioner, it *workItem) 
 			}
 		}
 	}()
-	it.done <- s.evaluate(it.ctx, pool, it.job)
+	analyze := obs.StartSpan(s.met.analyze)
+	resp := s.evaluate(it.ctx, pool, it.job)
+	analyze.End()
+	it.done <- resp
 }
 
 // evaluate runs the job's schemes on the pooled Partitioner for its
 // backend, honoring ctx between schemes; on expiry it returns the
-// partial verdict batch completed so far.
+// partial verdict batch completed so far. A set the utilization
+// screen certifies infeasible skips the analysis: every scheme would
+// reject it, so its verdicts are all-rejected without running one.
 func (s *Server) evaluate(ctx context.Context, pool map[string]*partition.Partitioner, job *admitJob) *Response {
 	resp := &Response{
 		Verdict:     VerdictUncertain,
@@ -475,6 +511,16 @@ func (s *Server) evaluate(ctx context.Context, pool map[string]*partition.Partit
 		return resp
 	}
 	s.cfg.Hooks.beforeEvaluate(job.tag)
+	if v, _ := Screen(job.ts, job.m, job.k); v == ScreenReject {
+		s.met.screened.Inc()
+		resp.Verdicts = make([]Verdict, len(job.schemes))
+		for i, scheme := range job.schemes {
+			resp.Verdicts[i].Scheme = scheme.String()
+		}
+		resp.Verdict = VerdictRejected
+		resp.Reason = rejectReason(job)
+		return resp
+	}
 	p := pool[job.backend]
 	if p == nil {
 		be, err := partition.NewBackend(job.backend)
@@ -529,7 +575,7 @@ func (s *Server) evaluate(ctx context.Context, pool map[string]*partition.Partit
 		resp.Verdict = VerdictUncertain
 	default:
 		resp.Verdict = VerdictRejected
-		resp.Reason = fmt.Sprintf("no scheme of [%s] admits the set on m=%d cores under %s", job.schemeNames(), job.m, job.backend)
+		resp.Reason = rejectReason(job)
 	}
 	if resp.Partial {
 		resp.Reason = fmt.Sprintf("deadline expired after %d of %d schemes", len(verdicts), len(job.schemes))
@@ -537,11 +583,15 @@ func (s *Server) evaluate(ctx context.Context, pool map[string]*partition.Partit
 	return resp
 }
 
-// writeJSON writes resp with the given status as indented JSON.
+// rejectReason explains a complete verdict in which no scheme admits.
+func rejectReason(job *admitJob) string {
+	return fmt.Sprintf("no scheme of [%s] admits the set on m=%d cores under %s", job.schemeNames(), job.m, job.backend)
+}
+
+// writeJSON writes resp with the given status as one line of compact
+// JSON.
 func writeJSON(w http.ResponseWriter, status int, resp *Response) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = json.NewEncoder(w).Encode(resp)
 }

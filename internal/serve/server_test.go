@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -84,66 +85,91 @@ func getStatus(tb testing.TB, client *http.Client, url string) int {
 	return hr.StatusCode
 }
 
+// directResponse is the complete verdict a direct Partitioner.Run of
+// every scheme gives: the answer the daemon must return field for
+// field, hash and tag aside.
+func directResponse(tb testing.TB, ts *mc.TaskSet, m, k int, backend string, schemes []string) *Response {
+	tb.Helper()
+	be, err := partition.NewBackend(backend)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := partition.NewWithBackend(m, k, be)
+	resp := &Response{Verdict: VerdictRejected}
+	for _, name := range schemes {
+		scheme, err := partition.ParseScheme(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res := p.Run(ts, scheme, nil)
+		v := Verdict{Scheme: name, Admitted: res.Feasible}
+		if res.Feasible {
+			v.Usys, v.Uavg, v.Imbalance = res.Usys, res.Uavg, res.Imbalance
+			if !resp.Admitted {
+				resp.Admitted, resp.Verdict = true, VerdictAdmitted
+				v.Assignment = slices.Clone(res.Assignment)
+			}
+		}
+		resp.Verdicts = append(resp.Verdicts, v)
+	}
+	if !resp.Admitted {
+		resp.Reason = fmt.Sprintf("no scheme of [%s] admits the set on m=%d cores under %s", strings.Join(schemes, ","), m, backend)
+	}
+	return resp
+}
+
+// TestAdmitMatchesDirectEvaluation: on both backends, every complete
+// verdict equals the direct analysis of all five schemes, whether the
+// worker ran the analysis or the utilization screen certified the
+// reject first.
 func TestAdmitMatchesDirectEvaluation(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
-	ts := feasibleSet(t)
+	reg := obs.NewRegistry()
+	s, hs := newTestServer(t, Config{Metrics: reg})
 	names := make([]string, len(partition.Schemes))
-	for i, s := range partition.Schemes {
-		names[i] = s.String()
-	}
-	status, resp := postAdmit(t, hs.Client(), hs.URL, &Request{
-		TaskSet: ts, M: 4, Schemes: names, Tag: "direct",
-	})
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (error %q)", status, resp.Error)
-	}
-	if resp.Tag != "direct" || resp.Partial || resp.Degraded || resp.Cached {
-		t.Errorf("unexpected flags in %+v", resp)
-	}
-	if resp.TaskSetHash != fmt.Sprintf("%016x", mc.TaskSetHash(ts)) {
-		t.Errorf("TaskSetHash = %q", resp.TaskSetHash)
-	}
-	if len(resp.Verdicts) != len(partition.Schemes) {
-		t.Fatalf("got %d verdicts, want %d", len(resp.Verdicts), len(partition.Schemes))
-	}
-	p := partition.New(4, ts.MaxCrit())
-	anyAdmit := false
 	for i, scheme := range partition.Schemes {
-		want := p.Evaluate(ts, scheme, nil)
-		v := resp.Verdicts[i]
-		if v.Scheme != scheme.String() || v.Admitted != want.Feasible {
-			t.Errorf("verdict[%d] = %+v, want scheme %v admitted=%v", i, v, scheme, want.Feasible)
-		}
-		if want.Feasible {
-			anyAdmit = true
-			if v.Usys != want.Usys || v.Uavg != want.Uavg || v.Imbalance != want.Imbalance {
-				t.Errorf("%v: aggregates (%v,%v,%v) != (%v,%v,%v)",
-					scheme, v.Usys, v.Uavg, v.Imbalance, want.Usys, want.Uavg, want.Imbalance)
-			}
-		}
+		names[i] = scheme.String()
 	}
-	if resp.Admitted != anyAdmit {
-		t.Errorf("Admitted = %v, direct analysis says %v", resp.Admitted, anyAdmit)
+	sets := []struct {
+		name string
+		ts   *mc.TaskSet
+		m    int
+	}{
+		{"feasible", feasibleSet(t), 4},
+		{"overloaded on 4", overloadedSet(t), 4},
+		{"overloaded on 3", overloadedSet(t), 3},
+		{"overloaded on 2", overloadedSet(t), 2},
+		{"band", bandSet(4, 2, 50.00000003), 2},
 	}
-	if resp.Admitted {
-		if resp.Verdict != VerdictAdmitted {
-			t.Errorf("Verdict = %q", resp.Verdict)
-		}
-		found := false
-		for i, v := range resp.Verdicts {
-			if len(v.Assignment) > 0 {
-				found = true
-				// The first admitting scheme carries the assignment a
-				// direct Run of that scheme reports.
-				want := p.Run(ts, partition.Schemes[i], nil)
-				if !want.Feasible || !slices.Equal(v.Assignment, want.Assignment) {
-					t.Errorf("%s: assignment %v, direct Run gives %v", v.Scheme, v.Assignment, want.Assignment)
-				}
-				break
+	for _, backend := range partition.BackendNames() {
+		screened := 0
+		for _, tc := range sets {
+			tag := backend + " " + tc.name
+			before := s.met.screened.Value()
+			status, resp := postAdmit(t, hs.Client(), hs.URL, &Request{
+				TaskSet: tc.ts, M: tc.m, K: 2, Schemes: names, Backend: backend, Tag: tag,
+			})
+			if status != http.StatusOK {
+				t.Fatalf("%s: status = %d, want 200 (error %q)", tag, status, resp.Error)
 			}
+			if resp.Tag != tag || resp.Partial || resp.Degraded || resp.Cached {
+				t.Errorf("%s: unexpected flags in %+v", tag, resp)
+			}
+			if resp.TaskSetHash != fmt.Sprintf("%016x", mc.TaskSetHash(tc.ts)) {
+				t.Errorf("%s: TaskSetHash = %q", tag, resp.TaskSetHash)
+			}
+			want := directResponse(t, tc.ts, tc.m, 2, backend, names)
+			if resp.Admitted != want.Admitted || resp.Verdict != want.Verdict || resp.Reason != want.Reason ||
+				!reflect.DeepEqual(resp.Verdicts, want.Verdicts) {
+				t.Errorf("%s: daemon answered %+v\ndirect analysis %+v", tag, resp, want)
+			}
+			moved := s.met.screened.Value() - before
+			if v, _ := Screen(tc.ts, tc.m, 2); (v == ScreenReject) != (moved == 1) || moved > 1 {
+				t.Errorf("%s: screen %v, serve.requests.screened moved by %d", tag, v, moved)
+			}
+			screened += int(moved)
 		}
-		if !found {
-			t.Errorf("admitted response carries no assignment")
+		if screened == 0 || screened == len(sets) {
+			t.Errorf("%s: %d of %d sets screened; the test must cover both paths", backend, screened, len(sets))
 		}
 	}
 }
@@ -515,6 +541,39 @@ func TestMetricz(t *testing.T) {
 	}
 	if snap.Counters["serve.requests.total"] < 1 {
 		t.Errorf("serve.requests.total = %d, want >= 1", snap.Counters["serve.requests.total"])
+	}
+}
+
+// TestStageHistograms: a cache miss moves each serve stage histogram
+// exactly once, a cache hit only decode, cache and encode, and the
+// stages before encode fit inside the request's own latency.
+func TestStageHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, hs := newTestServer(t, Config{Metrics: reg})
+	req := &Request{TaskSet: feasibleSet(t), M: 4}
+	stages := []string{"decode", "cache", "queue_wait", "analyze", "encode"}
+	for _, want := range []map[string]int64{
+		{"decode": 1, "cache": 1, "queue_wait": 1, "analyze": 1, "encode": 1},
+		{"decode": 2, "cache": 2, "queue_wait": 1, "analyze": 1, "encode": 2},
+	} {
+		postAdmit(t, hs.Client(), hs.URL, req)
+		// The handler ends the encode span after the client may have
+		// read the response.
+		waitFor(t, func() bool { return s.met.encode.Count() == want["encode"] })
+		snap := reg.Snapshot()
+		var before int64 // nanoseconds in the stages before encode
+		for _, stage := range stages {
+			h, ok := snap.Histograms["stage.serve."+stage+".seconds"]
+			if !ok || h.Count != want[stage] || h.SumNS < 0 {
+				t.Fatalf("stage %s: %+v, want %d observations and a sum >= 0", stage, h, want[stage])
+			}
+			if stage != "encode" {
+				before += h.SumNS
+			}
+		}
+		if total := snap.Histograms["serve.request.seconds"].SumNS; before > total {
+			t.Errorf("stages before encode sum to %d ns, more than the %d ns requests took", before, total)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the tier-2 quality gate: formatting, vet, the domain-aware
 # mclint analyzer, the race-enabled test suite, and a short fuzz pass
-# over the schedulability and generator invariants and the admission
-# request decoder. Everything here uses only the Go toolchain; there
-# are no external dependencies.
+# over the schedulability and generator invariants, the admission
+# request decoder and the checkpoint journal reader. Everything here
+# uses only the Go toolchain; there are no external dependencies.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target fuzz budget (default 10s; "0s" skips fuzzing)
@@ -111,6 +111,7 @@ if [[ "$FUZZTIME" != "0s" && "$FUZZTIME" != "0" ]]; then
     go test ./internal/fpamc -run='^$' -fuzz='^FuzzAMCProbeAgreement$' -fuzztime="$FUZZTIME"
     go test ./internal/partition -run='^$' -fuzz='^FuzzIncrementalAgreement$' -fuzztime="$FUZZTIME"
     go test ./internal/serve -run='^$' -fuzz='^FuzzAdmitDecode$' -fuzztime="$FUZZTIME"
+    go test ./internal/runner -run='^$' -fuzz='^FuzzCheckpointLine$' -fuzztime="$FUZZTIME"
 fi
 
 step "OK"
