@@ -96,8 +96,8 @@ func BenchmarkPartition(b *testing.B) {
 			p := catpa.NewPartitioner(8, 4)
 			feasible := 0
 			for i := 0; i < b.N; i++ {
-				ts := sets[i%len(sets)]
-				if p.Evaluate(ts, s, nil).Feasible {
+				p.Prepare(sets[i%len(sets)])
+				if p.Place(s, nil); p.Summarize().Feasible {
 					feasible++
 				}
 			}
@@ -375,7 +375,9 @@ func BenchmarkOnlineEvent(b *testing.B) {
 		p := catpa.NewPartitioner(8, 4)
 		for i := 0; i < b.N; i++ {
 			// The event invalidates the whole partition: rebuild it.
-			p.Evaluate(ts, catpa.CATPA, nil)
+			p.Prepare(ts)
+			p.Place(catpa.CATPA, nil)
+			p.Summarize()
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {

@@ -196,8 +196,10 @@ type (
 
 // NewPartitioner returns a reusable engine for m cores and k levels.
 // Its Run method is bit-identical to Partition but performs no heap
-// allocations in the steady state; Evaluate additionally skips
-// materializing the Result. Not safe for concurrent use.
+// allocations in the steady state. Prepare followed by Place and
+// Summarize per scheme evaluates a set without materializing the
+// Result, sharing the per-set preparation across schemes. Not safe
+// for concurrent use.
 func NewPartitioner(m, k int) *Partitioner { return partition.New(m, k) }
 
 // Pluggable per-core analysis backends (internal/partition).

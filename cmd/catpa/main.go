@@ -7,9 +7,11 @@
 //
 //	catpa -in taskset.json -m 8 -scheme CA-TPA
 //	mcgen -nsu 0.55 | catpa -m 8 -scheme CA-TPA -trace
+//	mcgen -k 2 | catpa -m 8 -fp -compare
 //
 // With no -in flag the task set is read from stdin. -compare runs all
-// five schemes side by side.
+// five schemes side by side; -fp swaps the EDF-VD analysis for
+// partitioned fixed-priority AMC-rtb (dual-criticality sets).
 package main
 
 import (
@@ -35,7 +37,7 @@ func main() {
 		trace   = flag.Bool("trace", false, "print the allocation trace")
 		compare = flag.Bool("compare", false, "run all five schemes")
 		asJSON  = flag.Bool("json", false, "emit the result as JSON")
-		useFP   = flag.Bool("fp", false, "use partitioned fixed-priority AMC-rtb instead of EDF-VD (dual-criticality sets, WFD/FFD/BFD/Hybrid)")
+		useFP   = flag.Bool("fp", false, "use partitioned fixed-priority AMC-rtb instead of EDF-VD (dual-criticality sets, all five schemes)")
 	)
 	flag.Parse()
 
@@ -43,15 +45,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	levels := *k
-	if levels == 0 {
-		levels = ts.MaxCrit()
+	p, err := newPartitioner(ts, *m, *k, *useFP)
+	if err != nil {
+		fatal(err)
 	}
+	opts := &catpa.PartitionOptions{Alpha: *alpha, Trace: *trace}
 
 	if *compare {
 		rows := [][]string{{"scheme", "feasible", "Usys", "Uavg", "imbalance"}}
 		for _, s := range catpa.Schemes {
-			r := catpa.Partition(ts, *m, levels, s, &catpa.PartitionOptions{Alpha: *alpha})
+			r := p.Run(ts, s, opts)
 			row := []string{s.String(), strconv.FormatBool(r.Feasible), "-", "-", "-"}
 			if r.Feasible {
 				row[2] = fmt.Sprintf("%.4f", r.Usys)
@@ -68,14 +71,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var r *catpa.PartitionResult
-	if *useFP {
-		if r, err = catpa.FPPartition(ts, *m, sch); err != nil {
-			fatal(err)
-		}
-	} else {
-		r = catpa.Partition(ts, *m, levels, sch, &catpa.PartitionOptions{Alpha: *alpha, Trace: *trace})
-	}
+	r := p.Run(ts, sch, opts)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -107,6 +103,35 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// newPartitioner returns the engine every scheme runs on: the default
+// EDF-VD analysis, or the AMC-rtb backend with fp. k = 0 selects the
+// set's maximum criticality. Dimensions the analysis cannot take are
+// reported as errors instead of the engine's panics.
+func newPartitioner(ts *catpa.TaskSet, m, k int, fp bool) (*catpa.Partitioner, error) {
+	if m < 1 {
+		return nil, fmt.Errorf("-m %d: need at least one core", m)
+	}
+	maxCrit := ts.MaxCrit()
+	if k == 0 {
+		k = maxCrit
+	}
+	if k < maxCrit {
+		return nil, fmt.Errorf("-k %d is below the task set's criticality %d", k, maxCrit)
+	}
+	name := catpa.DefaultBackend
+	if fp {
+		name = catpa.FPBackendName
+	}
+	be, err := catpa.NewAnalysisBackend(name)
+	if err != nil {
+		return nil, err
+	}
+	if maxK := be.MaxLevels(); maxK > 0 && k > maxK {
+		return nil, fmt.Errorf("the %s analysis handles at most %d criticality levels, got %d", name, maxK, k)
+	}
+	return catpa.NewPartitionerWithBackend(m, k, be), nil
 }
 
 func readSet(path string) (*catpa.TaskSet, error) {

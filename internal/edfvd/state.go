@@ -476,7 +476,7 @@ func (s *State) lambdaStep(j int, lambda, prod float64, crit int, urow []float64
 // ProbeEval is the scalar analysis summary of one probed (or
 // committed) subset: the Eq. 9 core utilization in both readings and
 // the smallest holding Theorem-1 condition. It is the value a
-// minimum-increment probe needs and the value KeepProbe/Place commit.
+// minimum-increment probe needs and the value a backend Place commits.
 type ProbeEval struct {
 	// CoreUtil is U^Psi per Eq. 9 (+Inf when no condition holds);
 	// CoreUtilWorst the literal worst-condition reading. They coincide

@@ -330,9 +330,9 @@ func runSet(gen *taskgen.Generator, parts map[string]*partition.Partitioner, eva
 	if m == nil {
 		ts := gen.Generate(jb.cfg, jb.seed, set)
 		for _, g := range jb.groups {
-			// Prepare + Place + Summarize is exactly EvaluateAll's body,
-			// so each group's verdicts are bit-identical to EvaluateAll
-			// over its schemes; the set is prepared once per backend.
+			// One Prepare per backend, then Place + Summarize per
+			// scheme: the set's preparation is shared across the
+			// group's schemes.
 			part := parts[g.backend]
 			part.Prepare(ts)
 			for i, s := range g.schemes {

@@ -84,8 +84,8 @@ func DefaultVariants() []Variant {
 
 // backendGroup batches the variants of one backend so a worker
 // prepares each task set once per backend and then places every
-// scheme of the group, mirroring how EvaluateAll shares per-set
-// preparation across schemes.
+// scheme of the group, sharing one Prepare's per-set preparation
+// across the group's schemes.
 type backendGroup struct {
 	backend string
 	schemes []partition.Scheme

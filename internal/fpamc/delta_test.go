@@ -90,7 +90,7 @@ func TestBackendDeltaHandComputed(t *testing.T) {
 				if !b.FeasibleWith(0, ti) {
 					t.Fatalf("task %d rejected on a hand-schedulable core", ti)
 				}
-				b.Place(0, ti, false)
+				b.Place(0, ti)
 			}
 			checkHandResponses(t, b, 0)
 			// Accumulate the expected load with runtime float adds in
@@ -171,7 +171,7 @@ func TestWarmStartMatchesColdRebuild(t *testing.T) {
 					continue
 				}
 			}
-			b.Place(c, ti, false)
+			b.Place(c, ti)
 		}
 		for c := 0; c < 2; c++ {
 			warmLO := append([]float64(nil), b.rLO[c]...)
@@ -290,7 +290,7 @@ func fillHand(t *testing.T, ts *mc.TaskSet) *Backend {
 		if !b.FeasibleWith(0, ti) {
 			t.Fatalf("task %d rejected on a hand-schedulable core", ti)
 		}
-		b.Place(0, ti, false)
+		b.Place(0, ti)
 	}
 	return b
 }
@@ -359,7 +359,7 @@ func TestDeltaSuffixRebuildHandComputed(t *testing.T) {
 
 	t.Run("dirty-core", func(t *testing.T) {
 		b := fillHand(t, handSetPlus())
-		b.Place(0, 3, false) // infeasible: forced, core dirty
+		b.Place(0, 3) // infeasible: forced, core dirty
 		if !b.dirty[0] {
 			t.Fatal("forced infeasible Place did not mark the core dirty")
 		}
@@ -375,7 +375,7 @@ func TestDeltaSuffixRebuildHandComputed(t *testing.T) {
 
 	t.Run("after-forced-place", func(t *testing.T) {
 		b := fillHand(t, handSetPlus())
-		b.Place(0, 3, false)
+		b.Place(0, 3)
 		b.OwnLoad(0) // rebuild: clean but unschedulable
 		if b.dirty[0] || b.allOK[0] {
 			t.Fatalf("after the rebuild: dirty=%v allOK=%v, want clean and unschedulable", b.dirty[0], b.allOK[0])
@@ -442,7 +442,7 @@ func TestDeltaScreenBoundary(t *testing.T) {
 				if !b.FeasibleWith(0, ti) {
 					t.Fatalf("task %d rejected on its own", ti)
 				}
-				b.Place(0, ti, false)
+				b.Place(0, ti)
 			}
 			screened := b.warmOK && (b.lu1[0]+b.u1[last] > b.screen ||
 				b.hi[last] && b.lu2[0]+b.u2[last] > b.screen)

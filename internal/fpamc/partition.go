@@ -126,17 +126,11 @@ type Backend struct {
 	// Probe scratch: the most recent feasible probe's candidate
 	// responses plus the recomputed lower-priority responses (aligned
 	// with cores[pCore]); valid while pOK and no commit intervened.
+	// Place commits it when it matches, and re-probes otherwise.
 	pCore, pTask, pPos int
 	pcLO, pcHI, pcTR   float64
 	pLO, pHI, pTR      []float64
 	pOK                bool
-
-	// KeepProbe buffer: a copy of the probe scratch for the winning
-	// candidate, committed by the next probed Place.
-	kCore, kTask, kPos int
-	kcLO, kcHI, kcTR   float64
-	kLO, kHI, kTR      []float64
-	kOK                bool
 
 	// Batch scratch for schedulable (the verdict-only reference used
 	// by the differential tests) and for rebuild's rank sort.
@@ -192,13 +186,13 @@ func (b *Backend) Reset(m, k int) {
 	} else {
 		b.rTR = b.rTR[:m]
 	}
-	b.loads = resizeFloats(b.loads, m)
-	b.lu1 = resizeFloats(b.lu1, m)
-	b.lu2 = resizeFloats(b.lu2, m)
-	b.dirty = resizeBools(b.dirty, m)
-	b.from = resizeInts(b.from, m)
-	b.allOK = resizeBools(b.allOK, m)
-	b.pOK, b.kOK = false, false
+	b.loads = resize(b.loads, m)
+	b.lu1 = resize(b.lu1, m)
+	b.lu2 = resize(b.lu2, m)
+	b.dirty = resize(b.dirty, m)
+	b.from = resize(b.from, m)
+	b.allOK = resize(b.allOK, m)
+	b.pOK = false
 }
 
 // Prepare implements partition.Backend. It packs the per-task
@@ -223,14 +217,14 @@ func (b *Backend) Reset(m, k int) {
 //mc:allocfree packs the prepared set into amortized storage
 func (b *Backend) Prepare(ts *mc.TaskSet) {
 	b.ts = ts
-	b.pOK, b.kOK = false, false
+	b.pOK = false
 	n := ts.Len()
-	b.per = resizeFloats(b.per, n)
-	b.c1 = resizeFloats(b.c1, n)
-	b.c2 = resizeFloats(b.c2, n)
-	b.u1 = resizeFloats(b.u1, n)
-	b.u2 = resizeFloats(b.u2, n)
-	b.hi = resizeBools(b.hi, n)
+	b.per = resize(b.per, n)
+	b.c1 = resize(b.c1, n)
+	b.c2 = resize(b.c2, n)
+	b.u1 = resize(b.u1, n)
+	b.u2 = resize(b.u2, n)
+	b.hi = resize(b.hi, n)
 	minC := math.Inf(1)
 	maxP := 0.0
 	for i := range ts.Tasks {
@@ -264,7 +258,7 @@ func (b *Backend) Begin() {
 		b.from[c] = -1
 		b.allOK[c] = true
 	}
-	b.pOK, b.kOK = false, false
+	b.pOK = false
 }
 
 // ensure brings core c's incremental state up to date before a query:
@@ -295,11 +289,11 @@ func (b *Backend) rebuild(c int) {
 	from := b.from[c]
 	if b.dirty[c] {
 		from = 0
-		b.ranks[c] = resizeInts(b.ranks[c], n)
-		b.rLO[c] = resizeFloats(b.rLO[c], n)
-		b.rHI[c] = resizeFloats(b.rHI[c], n)
-		b.rTR[c] = resizeFloats(b.rTR[c], n)
-		b.prio = resizeInts(b.prio, n)
+		b.ranks[c] = resize(b.ranks[c], n)
+		b.rLO[c] = resize(b.rLO[c], n)
+		b.rHI[c] = resize(b.rHI[c], n)
+		b.rTR[c] = resize(b.rTR[c], n)
+		b.prio = resize(b.prio, n)
 		for i := 0; i < n; i++ {
 			b.prio[i] = i
 		}
@@ -415,9 +409,9 @@ func (b *Backend) probe(c, ti int) bool {
 			return false
 		}
 	}
-	b.pLO = resizeFloats(b.pLO, n)
-	b.pHI = resizeFloats(b.pHI, n)
-	b.pTR = resizeFloats(b.pTR, n)
+	b.pLO = resize(b.pLO, n)
+	b.pHI = resize(b.pHI, n)
+	b.pTR = resize(b.pTR, n)
 	for j := 0; j < n; j++ {
 		rank := ranks[j]
 		if rank < pos {
@@ -465,39 +459,40 @@ func (b *Backend) probe(c, ti int) bool {
 	return true
 }
 
-// commit installs a successful probe's analysis as core c's committed
+// commit installs the probe scratch of (c, ti) as core c's committed
 // state: lower-priority ranks shift down by one, their recomputed
 // responses replace the stored ones, and the candidate appends with
 // its rank and cold responses.
 //
 //mc:allocfree per-core lists grow amortized
-func (b *Backend) commit(c, ti, pos int, cLO, cHI, cTR float64, lo, hi, tr []float64) {
+func (b *Backend) commit(c, ti int) {
 	candHI := b.hi[ti]
+	pos := b.pPos
 	mem := b.cores[c]
 	for j := range mem {
 		if b.ranks[c][j] < pos {
 			continue
 		}
 		b.ranks[c][j]++
-		b.rLO[c][j] = lo[j]
+		b.rLO[c][j] = b.pLO[j]
 		if b.hi[mem[j]] {
 			if candHI {
-				b.rHI[c][j] = hi[j]
+				b.rHI[c][j] = b.pHI[j]
 			}
-			b.rTR[c][j] = tr[j]
+			b.rTR[c][j] = b.pTR[j]
 		}
 	}
 	b.cores[c] = append(b.cores[c], ti)
 	b.ranks[c] = append(b.ranks[c], pos)
-	b.rLO[c] = append(b.rLO[c], cLO)
-	b.rHI[c] = append(b.rHI[c], cHI)
-	b.rTR[c] = append(b.rTR[c], cTR)
+	b.rLO[c] = append(b.rLO[c], b.pcLO)
+	b.rHI[c] = append(b.rHI[c], b.pcHI)
+	b.rTR[c] = append(b.rTR[c], b.pcTR)
 	b.loads[c] += b.u2[ti]
 	b.lu1[c] += b.u1[ti]
 	if candHI {
 		b.lu2[c] += b.u2[ti]
 	}
-	b.pOK, b.kOK = false, false
+	b.pOK = false
 }
 
 // FeasibleWith implements partition.Backend: it reports whether core
@@ -529,50 +524,24 @@ func (b *Backend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64
 	return load
 }
 
-// KeepProbe implements partition.Backend: it snapshots the most recent
-// probe's analysis so a later probed Place can commit it even after
-// probes of other cores have overwritten the live scratch.
-//
-//mc:allocfree copies into amortized keep buffers
-func (b *Backend) KeepProbe() {
-	if !b.pOK {
-		b.kOK = false
-		return
-	}
-	b.kCore, b.kTask, b.kPos = b.pCore, b.pTask, b.pPos
-	b.kcLO, b.kcHI, b.kcTR = b.pcLO, b.pcHI, b.pcTR
-	b.kLO = append(b.kLO[:0], b.pLO...)
-	b.kHI = append(b.kHI[:0], b.pHI...)
-	b.kTR = append(b.kTR[:0], b.pTR...)
-	b.kOK = true
-}
-
 // Place implements partition.Backend. A placement that matches the
-// kept (probed) or live probe scratch commits that analysis directly —
-// the delta the screen loops already paid for; any other placement
-// re-probes first. Forcing an infeasible task onto a core records it
-// and schedules the full rebuild, which marks the core unschedulable
-// for every later probe (matching the batch path, where any subset
-// containing the infeasible member fails).
+// live probe scratch commits that analysis directly — the delta the
+// pick scan already paid for; any other placement re-probes first.
+// Forcing an infeasible task onto a core records it and schedules the
+// full rebuild, which marks the core unschedulable for every later
+// probe (matching the batch path, where any subset containing the
+// infeasible member fails).
 //
 //mc:allocfree commits from scratch or marks the core for rebuild
-func (b *Backend) Place(c, ti int, probed bool) {
-	if probed && b.kOK && b.kCore == c && b.kTask == ti {
-		b.commit(c, ti, b.kPos, b.kcLO, b.kcHI, b.kcTR, b.kLO, b.kHI, b.kTR)
-		return
-	}
-	if b.pOK && b.pCore == c && b.pTask == ti {
-		b.commit(c, ti, b.pPos, b.pcLO, b.pcHI, b.pcTR, b.pLO, b.pHI, b.pTR)
-		return
-	}
-	if b.probe(c, ti) {
-		b.commit(c, ti, b.pPos, b.pcLO, b.pcHI, b.pcTR, b.pLO, b.pHI, b.pTR)
+func (b *Backend) Place(c, ti int) {
+	if (b.pOK && b.pCore == c && b.pTask == ti) || b.probe(c, ti) {
+		b.commit(c, ti)
 		return
 	}
 	b.cores[c] = append(b.cores[c], ti)
 	b.loads[c] += b.u2[ti]
 	b.dirty[c] = true
-	b.pOK, b.kOK = false, false
+	b.pOK = false
 }
 
 // Remove implements partition.Backend. Removal shrinks the demand sums
@@ -587,28 +556,28 @@ func (b *Backend) Place(c, ti int, probed bool) {
 //
 //mc:allocfree in-place deletes and a rebuild mark; panic path exempt
 func (b *Backend) Remove(c, ti int) {
-	b.pOK, b.kOK = false, false
+	b.pOK = false
 	mem := b.cores[c]
 	for i, t := range mem {
 		if t != ti {
 			continue
 		}
-		b.cores[c] = deleteInt(mem, i)
+		b.cores[c] = deleteAt(mem, i)
 		if b.dirty[c] || !b.allOK[c] || b.ranks[c][i] == 0 {
 			b.dirty[c] = true
 			return
 		}
 		r := b.ranks[c][i]
-		ranks := deleteInt(b.ranks[c], i)
+		ranks := deleteAt(b.ranks[c], i)
 		for j := range ranks {
 			if ranks[j] > r {
 				ranks[j]--
 			}
 		}
 		b.ranks[c] = ranks
-		b.rLO[c] = deleteFloat(b.rLO[c], i)
-		b.rHI[c] = deleteFloat(b.rHI[c], i)
-		b.rTR[c] = deleteFloat(b.rTR[c], i)
+		b.rLO[c] = deleteAt(b.rLO[c], i)
+		b.rHI[c] = deleteAt(b.rHI[c], i)
+		b.rTR[c] = deleteAt(b.rTR[c], i)
 		if b.from[c] < 0 || r < b.from[c] {
 			b.from[c] = r
 		}
@@ -624,7 +593,7 @@ func (b *Backend) Remove(c, ti int) {
 //mc:allocfree forces the cold rebuild
 func (b *Backend) Reanalyze(c int) {
 	b.dirty[c] = true
-	b.pOK, b.kOK = false, false
+	b.pOK = false
 	b.ensure(c)
 }
 
@@ -795,8 +764,8 @@ func (b *Backend) coreTr(c, t, myRank, cand int, loR, seed, bound float64) float
 //mc:allocfree order and rank live in reusable scratch
 func (b *Backend) schedulable(idx []int) bool {
 	n := len(idx)
-	b.prio = resizeInts(b.prio, n)
-	b.rank = resizeInts(b.rank, n)
+	b.prio = resize(b.prio, n)
+	b.rank = resize(b.rank, n)
 	for i := 0; i < n; i++ {
 		b.prio[i] = i
 	}
@@ -940,44 +909,22 @@ func (b *Backend) transitionResponse(idx []int, i int, bound, loR float64) float
 	return math.Inf(1)
 }
 
+// resize returns s with length n, reallocating only on growth.
+//
 //mc:allocfree amortized: reallocates only on growth
-func resizeInts(s []int, n int) []int {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-//mc:allocfree amortized: reallocates only on growth
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// deleteInt removes s[i] in place, keeping the order of the rest.
+// deleteAt removes s[i] in place, keeping the order of the rest.
 //
 //mc:allocfree shifts within the slice
-func deleteInt(s []int, i int) []int {
+func deleteAt[T any](s []T, i int) []T {
 	copy(s[i:], s[i+1:])
 	return s[:len(s)-1]
-}
-
-// deleteFloat removes s[i] in place, keeping the order of the rest.
-//
-//mc:allocfree shifts within the slice
-func deleteFloat(s []float64, i int) []float64 {
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
-}
-
-//mc:allocfree amortized: reallocates only on growth
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }
 
 // Partition allocates a dual-criticality task set onto m cores under

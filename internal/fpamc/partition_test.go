@@ -189,7 +189,7 @@ func TestEDFVDvsFPAcceptance(t *testing.T) {
 
 // TestBackendProtocol exercises the partition.Backend surface of the
 // AMC-rtb backend directly: identity, buffer reuse across Reset, the
-// kept-probe commit, and report contents.
+// commit of a probed placement, and report contents.
 func TestBackendProtocol(t *testing.T) {
 	b := new(Backend)
 	if b.Name() != BackendName || b.MaxLevels() != 2 {
@@ -206,8 +206,7 @@ func TestBackendProtocol(t *testing.T) {
 			t.Fatal("empty core rejects a light task")
 		}
 		u := b.ProbeUtil(0, 0, false, 0, math.Inf(1))
-		b.KeepProbe() // snapshot for the probed Place below
-		b.Place(0, 0, true)
+		b.Place(0, 0) // commits the probe's analysis
 		if got := b.OwnLoad(0); got != u {
 			t.Errorf("round %d: OwnLoad %v != probed %v", round, got, u)
 		}

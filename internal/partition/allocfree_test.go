@@ -11,8 +11,9 @@ import (
 
 // TestHotPathAllocFree is the runtime twin of the //mc:allocfree
 // annotations on the partitioning hot path: after one warm-up run,
-// Partitioner.Run and Evaluate must perform zero heap allocations per
-// call, under both analysis backends and every scheme. mclint's
+// Partitioner.Run and the Prepare/Place/Summarize evaluation path must
+// perform zero heap allocations per call, under both analysis backends
+// and every scheme. mclint's
 // allocfree pass proves the property statically; this test pins it
 // against compiler escape-analysis regressions the static model cannot
 // see (closures that start escaping, interface conversions introduced
@@ -38,10 +39,12 @@ func TestHotPathAllocFree(t *testing.T) {
 					t.Errorf("%s/%v: Run allocates %.1f times per call, want 0", name, scheme, allocs)
 				}
 				allocs = testing.AllocsPerRun(50, func() {
-					p.Evaluate(ts, scheme, nil)
+					p.Prepare(ts)
+					p.Place(scheme, nil)
+					p.Summarize()
 				})
 				if allocs != 0 {
-					t.Errorf("%s/%v: Evaluate allocates %.1f times per call, want 0", name, scheme, allocs)
+					t.Errorf("%s/%v: Prepare/Place/Summarize allocates %.1f times per call, want 0", name, scheme, allocs)
 				}
 			}
 		})

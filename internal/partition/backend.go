@@ -29,11 +29,11 @@ import (
 //
 // Call order per run: Reset (dimensions), Prepare (task set), Begin
 // (clear cores), then any interleaving of the virtual queries with
-// Place / Remove commits, then CoreUtil / ReportInto reads. KeepProbe
-// marks the analysis of the most recent unpruned ProbeUtil call as the
-// winning candidate's; a following Place with probed=true commits
-// exactly that cached analysis (the caller guarantees the (core, task)
-// pair matches).
+// Place / Remove commits, then CoreUtil / ReportInto reads. The
+// backend owns the reuse of its probe analyses: Place(c, ti) commits
+// the analysis of an unpruned ProbeUtil(c, ti, ...) when core c has
+// not changed since that probe, and re-analyzes otherwise, so the
+// caller never has to say which probe won.
 //
 // Incremental delta contract (DESIGN.md Section 14). Backends maintain
 // per-core analysis state under delta updates: Place folds one task
@@ -90,18 +90,14 @@ type Backend interface {
 	// previous probe's cached analysis in place. Any unpruned answer is
 	// bitwise the margin = +Inf answer; callers that want the plain
 	// probe pass base 0 and margin +Inf. An unpruned probe's analysis
-	// may be cached for KeepProbe.
+	// may be cached for a following Place of the same (c, ti).
 	ProbeUtil(c, ti int, worst bool, base, margin float64) float64
 
-	// KeepProbe marks the analysis of the most recent unpruned
-	// ProbeUtil call as the winning candidate's, to be committed by the
-	// next Place with probed=true.
-	KeepProbe()
-
-	// Place commits task ti to core c. probed reports that the winning
-	// KeepProbe analysis corresponds to exactly this (c, ti) pair and
-	// may be committed without re-analysis.
-	Place(c, ti int, probed bool)
+	// Place commits task ti to core c. When an unpruned ProbeUtil(c,
+	// ti, ...) ran since core c last changed, the backend may commit
+	// that probe's analysis instead of re-analyzing; either way the
+	// committed state is bitwise the same.
+	Place(c, ti int)
 
 	// Remove deletes committed task ti from core c: the removal delta
 	// of the online admit/release protocol. Implementations undo the

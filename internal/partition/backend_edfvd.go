@@ -46,10 +46,12 @@ type edfvdBackend struct {
 	aEval []edfvd.ProbeEval
 	aOK   []bool
 
-	// Probe state for the KeepProbe protocol: ProbeUtil evaluates into
-	// probeEval; KeepProbe copies it to keepEval; a probed Place
-	// installs keepEval as the core's committed analysis.
-	probeEval, keepEval edfvd.ProbeEval
+	// Per-core probe slots: an unpruned ProbeUtil(c, ti) evaluates into
+	// pEval[c] and sets pTask[c] = ti; Place(c, ti) installs pEval[c]
+	// as the committed analysis when pTask[c] == ti. Every commit,
+	// removal, Reanalyze and Begin on c resets pTask[c] to -1.
+	pEval []edfvd.ProbeEval
+	pTask []int
 
 	crit  []int     // per-task criticality levels, flat (avoids Task derefs)
 	urows []float64 // N x K precomputed utilization rows (Task.UtilRow)
@@ -84,7 +86,7 @@ func (b *edfvdBackend) Reset(m, k int) {
 	// per-task probe scan over the m cores stays within a few cache
 	// lines.
 	stride := 3*k - 2
-	b.slab = resizeFloats(b.slab, m*stride)
+	b.slab = resize(b.slab, m*stride)
 	for c := range b.states {
 		b.states[c].ResetSlab(k, b.slab[c*stride:(c+1)*stride])
 	}
@@ -97,11 +99,14 @@ func (b *edfvdBackend) Reset(m, k int) {
 	}
 	if cap(b.aEval) < m {
 		b.aEval = make([]edfvd.ProbeEval, m)
+		b.pEval = make([]edfvd.ProbeEval, m)
 	} else {
 		b.aEval = b.aEval[:m]
+		b.pEval = b.pEval[:m]
 	}
-	b.dirty = resizeBools(b.dirty, m)
-	b.aOK = resizeBools(b.aOK, m)
+	b.pTask = resize(b.pTask, m)
+	b.dirty = resize(b.dirty, m)
+	b.aOK = resize(b.aOK, m)
 }
 
 // Prepare implements Backend: it precomputes every task's per-level
@@ -113,8 +118,8 @@ func (b *edfvdBackend) Reset(m, k int) {
 func (b *edfvdBackend) Prepare(ts *mc.TaskSet) {
 	b.ts = ts
 	n := ts.Len()
-	b.urows = resizeFloats(b.urows, n*b.k)
-	b.crit = resizeInts(b.crit, n)
+	b.urows = resize(b.urows, n*b.k)
+	b.crit = resize(b.crit, n)
 	for i := 0; i < n; i++ {
 		ts.Tasks[i].UtilRow(b.k, b.urows[i*b.k:(i+1)*b.k])
 		b.crit[i] = ts.Tasks[i].Crit
@@ -130,6 +135,7 @@ func (b *edfvdBackend) Begin() {
 		b.members[c] = b.members[c][:0]
 		b.dirty[c] = false
 		b.aOK[c] = false
+		b.pTask[c] = -1
 	}
 	b.ndirty = 0
 }
@@ -194,46 +200,41 @@ func (b *edfvdBackend) FeasibleWith(c, ti int) bool {
 // prune (State.UtilFloorWith) with the analysis, sharing the min term
 // and the overload fast-reject, so the whole probe runs in O(K) from
 // the cached sums with no tentative mutation and no undo. An unpruned
-// analysis lands in probeEval for KeepProbe; a pruned one leaves
-// probeEval untouched.
+// analysis lands in core c's probe slot for Place; a pruned one leaves
+// the slot untouched.
 //
 //mc:allocfree O(K) scalar analysis into reusable scratch
 func (b *edfvdBackend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64 {
 	b.ensure(c)
-	if !b.states[c].ProbeBoundedWith(b.crit[ti], b.urow(ti), base, margin, &b.probeEval) {
+	ev := &b.pEval[c]
+	if !b.states[c].ProbeBoundedWith(b.crit[ti], b.urow(ti), base, margin, ev) {
 		return math.Inf(1)
 	}
+	b.pTask[c] = ti
 	if worst {
-		return b.probeEval.CoreUtilWorst
+		return ev.CoreUtilWorst
 	}
-	return b.probeEval.CoreUtil
+	return ev.CoreUtil
 }
 
-// KeepProbe implements Backend.
-//
-//mc:allocfree copies three scalars
-func (b *edfvdBackend) KeepProbe() {
-	b.keepEval = b.probeEval
-}
-
-// Place implements Backend: the O(1)-per-level delta commit. With
-// probed set, the winning probe's analysis (held in keepEval since
-// KeepProbe) becomes the core's committed analysis — bitwise what a
-// recompute would produce, by the delta discipline; otherwise the
-// cache is invalidated and the next CoreUtil or ReportInto re-analyzes
-// lazily.
+// Place implements Backend: the O(1)-per-level delta commit. When core
+// c's probe slot holds ti's analysis, it becomes the core's committed
+// analysis — bitwise what a recompute would produce, by the delta
+// discipline; otherwise the cache is invalidated and the next CoreUtil
+// or ReportInto re-analyzes lazily.
 //
 //mc:allocfree delta adds and scalar copies
-func (b *edfvdBackend) Place(c, ti int, probed bool) {
+func (b *edfvdBackend) Place(c, ti int) {
 	b.ensure(c)
 	b.states[c].Add(b.crit[ti], b.urow(ti))
 	b.members[c] = append(b.members[c], ti)
-	if probed {
-		b.aEval[c] = b.keepEval
+	if b.pTask[c] == ti {
+		b.aEval[c] = b.pEval[c]
 		b.aOK[c] = true
 	} else {
 		b.aOK[c] = false
 	}
+	b.pTask[c] = -1
 }
 
 // Remove implements Backend: O(1) — the task leaves the member list
@@ -255,6 +256,7 @@ func (b *edfvdBackend) Remove(c, ti int) {
 				b.ndirty++
 			}
 			b.aOK[c] = false
+			b.pTask[c] = -1
 			return
 		}
 	}
@@ -271,6 +273,7 @@ func (b *edfvdBackend) Reanalyze(c int) {
 		b.ndirty++
 	}
 	b.aOK[c] = false
+	b.pTask[c] = -1
 	b.ensure(c)
 }
 

@@ -1,6 +1,7 @@
 package partition_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -115,9 +116,11 @@ func TestNewWithBackend(t *testing.T) {
 //
 //   - the probe returns +Inf exactly when floor - base >= margin;
 //   - an unpruned answer is bitwise the margin = +Inf answer;
-//   - a pruned probe leaves the kept probe alone: after an unpruned
-//     probe, pruned probes of another core — before and after
-//     KeepProbe — do not change what Place(..., true) commits.
+//   - Place(c, ti) commits bitwise what an unprobed Place on a fresh
+//     backend commits — both CoreUtil readings and the report —
+//     whatever probes ran before it: the winning probe, a probe of
+//     another core or another task, pruned probes, no probe, or a
+//     re-probe after core c changed and changed back.
 func TestProbeUtilBounded(t *testing.T) {
 	const m, k = 4, 2
 	cfg := popConfig(m, k)
@@ -158,7 +161,7 @@ func TestProbeUtilBounded(t *testing.T) {
 				members := make([][]int, m)
 				for ti := 0; ti < ts.Len()/2; ti++ {
 					if c := ti % m; be.FeasibleWith(c, ti) {
-						be.Place(c, ti, false)
+						be.Place(c, ti)
 						members[c] = append(members[c], ti)
 					}
 				}
@@ -195,42 +198,91 @@ func TestProbeUtilBounded(t *testing.T) {
 				t.Fatalf("degenerate sweep: %d pruned, %d unpruned probes", pruned, kept)
 			}
 
-			// The kept probe: find a candidate feasible on core 0 and
-			// probe it there, then prune probes of it on core 1.
-			ti := -1
+			// The commit rule: find a candidate ti and a second task x
+			// that both fit core 0, then commit ti there after each
+			// probe history.
+			ti, x := -1, -1
 			for cand := ts.Len() / 2; cand < ts.Len(); cand++ {
-				if !math.IsInf(be.ProbeUtil(0, cand, false, 0, inf), 1) {
+				if math.IsInf(be.ProbeUtil(0, cand, false, 0, inf), 1) {
+					continue
+				}
+				if ti < 0 {
 					ti = cand
+				} else {
+					x = cand
 					break
 				}
 			}
-			if ti < 0 {
-				t.Fatal("no candidate fits core 0")
+			if x < 0 {
+				t.Fatal("fewer than two candidates fit core 0")
 			}
-			ref, _ := setup()
-			ref.Place(0, ti, false)
-
-			u := be.ProbeUtil(0, ti, false, 0, inf)
-			prune := tc.floor(be, members[1], 1, ti)
-			if got := be.ProbeUtil(1, ti, false, 0, prune); !math.IsInf(got, 1) {
-				t.Fatalf("probe at margin = floor not pruned: %v", got)
+			ref, refMembers := setup()
+			ref.Place(0, ti)
+			if fresh, _ := setup(); math.Float64bits(ref.CoreUtil(0, false)) != math.Float64bits(fresh.ProbeUtil(0, ti, false, 0, inf)) {
+				t.Fatalf("committed CoreUtil %v, probe %v", ref.CoreUtil(0, false), fresh.ProbeUtil(0, ti, false, 0, inf))
 			}
-			be.KeepProbe()
-			be.ProbeUtil(1, ti, true, 0, prune)
-			be.Place(0, ti, true)
-			if got := be.CoreUtil(0, false); got != u {
-				t.Errorf("committed CoreUtil %v, kept probe %v", got, u)
+			// prune returns a margin at which a probe of ti on core c
+			// is pruned: the certified floor itself, with base 0.
+			prune := func(be partition.Backend, c int) float64 {
+				return tc.floor(be, refMembers[c], c, ti)
 			}
-			for _, worst := range []bool{false, true} {
-				if got, want := be.CoreUtil(0, worst), ref.CoreUtil(0, worst); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("worst=%v: kept-probe commit %v, unprobed commit %v", worst, got, want)
+			histories := []struct {
+				name string
+				run  func(be partition.Backend)
+			}{
+				{"winning-probe", func(be partition.Backend) {
+					be.ProbeUtil(0, ti, false, 0, inf)
+				}},
+				{"unpruned-probe-of-another-core", func(be partition.Backend) {
+					be.ProbeUtil(0, ti, false, 0, inf)
+					be.ProbeUtil(1, ti, true, 0, inf)
+				}},
+				{"unpruned-probe-of-another-task", func(be partition.Backend) {
+					be.ProbeUtil(0, ti, false, 0, inf)
+					be.ProbeUtil(0, x, false, 0, inf)
+				}},
+				{"pruned-probes", func(be partition.Backend) {
+					be.ProbeUtil(0, ti, false, 0, inf)
+					for _, c := range []int{1, 0} {
+						if got := be.ProbeUtil(c, ti, true, 0, prune(be, c)); !math.IsInf(got, 1) {
+							t.Fatalf("probe of core %d at margin = floor not pruned: %v", c, got)
+						}
+					}
+				}},
+				{"pruned-probe-only", func(be partition.Backend) {
+					be.ProbeUtil(0, ti, false, 0, prune(be, 0))
+				}},
+				{"no-probe", func(partition.Backend) {}},
+				{"remove-then-reprobe", func(be partition.Backend) {
+					be.Place(0, x)
+					be.ProbeUtil(0, ti, false, 0, inf)
+					be.Remove(0, x)
+					be.ProbeUtil(0, ti, false, 0, inf)
+				}},
+				{"stale-probe-after-remove", func(be partition.Backend) {
+					be.Place(0, x)
+					be.ProbeUtil(0, ti, false, 0, inf)
+					be.Remove(0, x)
+				}},
+			}
+			for _, h := range histories {
+				got, _ := setup()
+				h.run(got)
+				got.Place(0, ti)
+				for _, worst := range []bool{false, true} {
+					if g, w := got.CoreUtil(0, worst), ref.CoreUtil(0, worst); math.Float64bits(g) != math.Float64bits(w) {
+						t.Errorf("%s worst=%v: committed CoreUtil %v, unprobed commit %v", h.name, worst, g, w)
+					}
 				}
-			}
-			var gi, wi partition.CoreInfo
-			be.ReportInto(0, &gi)
-			ref.ReportInto(0, &wi)
-			if gi.Util != wi.Util || gi.FeasibleK != wi.FeasibleK {
-				t.Errorf("kept-probe report (%v, %d), unprobed (%v, %d)", gi.Util, gi.FeasibleK, wi.Util, wi.FeasibleK)
+				// %x renders each float exactly, so equal strings mean
+				// bitwise-equal reports.
+				var gi, wi partition.CoreInfo
+				got.ReportInto(0, &gi)
+				ref.ReportInto(0, &wi)
+				if fmt.Sprintf("%x %d %x", gi.Util, gi.FeasibleK, gi.Lambda) != fmt.Sprintf("%x %d %x", wi.Util, wi.FeasibleK, wi.Lambda) {
+					t.Errorf("%s: report (%v, %d, %v), unprobed (%v, %d, %v)",
+						h.name, gi.Util, gi.FeasibleK, gi.Lambda, wi.Util, wi.FeasibleK, wi.Lambda)
+				}
 			}
 		})
 	}

@@ -43,7 +43,7 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 
 	b := newBackend()
 	for ti := 0; ti < 4; ti++ {
-		b.Place(0, ti, false)
+		b.Place(0, ti)
 	}
 	if b.ndirty != 0 || b.dirty[0] {
 		t.Fatal("placements alone dirtied the core; Add is the O(1) delta, not a rebuild trigger")
@@ -67,8 +67,8 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 	// Reference: a core that only ever held the survivors, in the same
 	// placement order.
 	ref := newBackend()
-	ref.Place(0, 0, false)
-	ref.Place(0, 2, false)
+	ref.Place(0, 0)
+	ref.Place(0, 2)
 
 	// The first read replays; every committed reading must match the
 	// reference bitwise.
@@ -121,6 +121,8 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 // delta contract promises on the backend seam: the committed Eq. 9
 // readings after Place(ti) are bitwise the probed readings of ti
 // against the pre-Place core, for every placement along a growing core.
+// The probe slot is cleared before each Place so the commit re-analyzes
+// the Add-ed state instead of installing the probe's own readings.
 func TestEdfvdAddMatchesProbe(t *testing.T) {
 	ts := deltaSet()
 	be, err := NewBackend(DefaultBackend)
@@ -137,7 +139,11 @@ func TestEdfvdAddMatchesProbe(t *testing.T) {
 		if math.IsInf(probed, 1) {
 			t.Fatalf("task %d rejected on a hand-schedulable core", ti)
 		}
-		b.Place(0, ti, false)
+		b.pTask[0] = -1
+		b.Place(0, ti)
+		if b.aOK[0] {
+			t.Fatalf("task %d: Place installed a cleared probe slot", ti)
+		}
 		if got := b.CoreUtil(0, false); got != probed {
 			t.Fatalf("task %d: committed CoreUtil %v, probed %v", ti, got, probed)
 		}

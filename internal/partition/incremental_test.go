@@ -23,8 +23,8 @@ type reanalyzingBackend struct {
 	partition.Backend
 }
 
-func (r *reanalyzingBackend) Place(c, ti int, probed bool) {
-	r.Backend.Place(c, ti, probed)
+func (r *reanalyzingBackend) Place(c, ti int) {
+	r.Backend.Place(c, ti)
 	r.Backend.Reanalyze(c)
 }
 

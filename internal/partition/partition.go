@@ -26,7 +26,7 @@ type allocator struct {
 
 	// Per-core state. utils is the per-core U^Psi in the configured
 	// Eq. 9 reading (CA-TPA's decision metric), refreshed from the
-	// backend on probed or traced placements; ownLoad the Eq. 4
+	// backend on CA-TPA or traced placements; ownLoad the Eq. 4
 	// own-level load the classical schemes compare cores by.
 	utils   []float64
 	ownLoad []float64
@@ -43,16 +43,12 @@ type allocator struct {
 	// Ordering cache: one order slot per OrderPolicy, valid for the
 	// current task set, and the sorts' shared scratch. Schemes sharing
 	// an effective ordering (all classical heuristics default to
-	// MaxUtilOrder) then sort the set only once per EvaluateAll batch.
+	// MaxUtilOrder) then sort the set only once per Prepare.
 	ordIdx     [2][]int
 	ordOK      [2]bool
 	ordScratch mc.SortScratch
 
 	failed int // first unplaceable task, -1
-
-	// probeOK records that the backend holds a kept probe analysis for
-	// the next place.
-	probeOK bool
 
 	trace []Step
 }
@@ -74,8 +70,8 @@ func (a *allocator) reset(m, k int) {
 		return
 	}
 	a.m, a.k = m, k
-	a.utils = resizeFloats(a.utils, m)
-	a.ownLoad = resizeFloats(a.ownLoad, m)
+	a.utils = resize(a.utils, m)
+	a.ownLoad = resize(a.ownLoad, m)
 	if cap(a.tasks) < m {
 		tasks := make([][]int, m)
 		copy(tasks, a.tasks)
@@ -88,7 +84,7 @@ func (a *allocator) reset(m, k int) {
 // prepSet installs a task set: it validates the dimensions and hands
 // the set to the backend for per-set precomputation, invalidating the
 // ordering cache. Once prepared, any number of runPrepared calls may
-// share this work (the EvaluateAll batch path).
+// share this work (the Prepare/Place/Summarize batch path).
 //
 //mc:allocfree hands the set to the backend; panic path exempt
 func (a *allocator) prepSet(ts *mc.TaskSet) {
@@ -106,7 +102,6 @@ func (a *allocator) prepSet(ts *mc.TaskSet) {
 func (a *allocator) clearRun(scheme Scheme, opts *Options) {
 	a.scheme, a.opts = scheme, opts
 	a.failed = -1
-	a.probeOK = false
 	a.trace = a.trace[:0]
 	a.be.Begin()
 	for c := 0; c < a.m; c++ {
@@ -114,7 +109,7 @@ func (a *allocator) clearRun(scheme Scheme, opts *Options) {
 		a.ownLoad[c] = a.be.OwnLoad(c)
 		a.tasks[c] = a.tasks[c][:0]
 	}
-	a.assign = resizeInts(a.assign, a.ts.Len())
+	a.assign = resize(a.assign, a.ts.Len())
 	for i := range a.assign {
 		a.assign[i] = -1
 	}
@@ -122,7 +117,7 @@ func (a *allocator) clearRun(scheme Scheme, opts *Options) {
 }
 
 // run executes one partitioning pass (allocation only; the caller
-// assembles a Result or Eval afterwards).
+// assembles a Result afterwards).
 //
 //mc:allocfree one pass over amortized state
 func (a *allocator) run(ts *mc.TaskSet, scheme Scheme, opts *Options) {
@@ -148,23 +143,22 @@ func (a *allocator) runPrepared(scheme Scheme, opts *Options) {
 	}
 }
 
-// place commits task ti to core c. When a CA-TPA probe cached the
-// winning core's analysis (probeOK), the backend commits it directly;
-// the classical schemes defer per-core analysis to the finishing pass
-// entirely, since their placement decisions never read core
+// place commits task ti to core c; the backend reuses the analysis
+// of the pick's probe of (c, ti) when it has one. CA-TPA reads the
+// committed utilization back because its next pick compares cores by
+// it; the classical schemes defer per-core analysis to the finishing
+// pass entirely, since their placement decisions never read core
 // utilizations (only own-level loads). Tracing forces the eager
 // utilization read because Step.Util reports the post-placement value.
 //
 //mc:allocfree per-core slices grow amortized; Step is a value
 func (a *allocator) place(ti, c int) {
 	prev := a.utils[c]
-	probed := a.probeOK
-	a.probeOK = false
-	a.be.Place(c, ti, probed)
+	a.be.Place(c, ti)
 	a.ownLoad[c] = a.be.OwnLoad(c)
 	a.tasks[c] = append(a.tasks[c], ti)
 	a.assign[ti] = c
-	if probed || a.opts.trace() {
+	if a.scheme == CATPA || a.opts.trace() {
 		a.utils[c] = a.be.CoreUtil(c, a.opts.eq9Literal())
 		a.bumpUtil(prev, a.utils[c])
 	}
@@ -177,7 +171,6 @@ func (a *allocator) place(ti, c int) {
 //mc:allocfree records the failure index
 func (a *allocator) fail(ti int) {
 	a.failed = ti
-	a.probeOK = false
 	if a.opts.trace() {
 		a.trace = append(a.trace, Step{Task: ti, Core: -1})
 	}
@@ -385,15 +378,6 @@ func (a *allocator) rescanUtils() {
 	a.uMax, a.uMin = maxU, minU
 }
 
-// keepProbe marks the backend's most recent probe analysis as the
-// winning candidate's, to be committed by place without re-analysis.
-//
-//mc:allocfree flags the backend swap
-func (a *allocator) keepProbe() {
-	a.be.KeepProbe()
-	a.probeOK = true
-}
-
 // utilWith returns the backend's core utilization with task ti added
 // (Eq. 15), +Inf when the extended subset is infeasible or — with a
 // finite margin — when the backend's certified floor shows the probe
@@ -406,8 +390,7 @@ func (a *allocator) utilWith(c, ti int, base, margin float64) float64 {
 
 // pickMinIncrement probes every core (lines 5-11 of Algorithm 1) and
 // returns the feasible core with the smallest core-utilization
-// increment, ties broken by smaller index; -1 if none is feasible. The
-// winning probe's analysis is retained for place.
+// increment, ties broken by smaller index; -1 if none is feasible.
 //
 //mc:allocfree the probe loop of Algorithm 1
 func (a *allocator) pickMinIncrement(ti int) int {
@@ -424,7 +407,6 @@ func (a *allocator) pickMinIncrement(ti int) int {
 		}
 		if inc := u - a.utils[c]; inc < bestInc-mc.Eps {
 			best, bestInc = c, inc
-			a.keepProbe()
 		}
 	}
 	return best
@@ -445,7 +427,6 @@ func (a *allocator) pickLeastLoaded(ti int) int {
 			continue
 		}
 		best, bestU = c, a.utils[c]
-		a.keepProbe()
 	}
 	return best
 }
@@ -458,7 +439,6 @@ func (a *allocator) pickLeastLoaded(ti int) int {
 func (a *allocator) pickFirstFeasible(ti int) int {
 	for c := 0; c < a.m; c++ {
 		if !math.IsInf(a.utilWith(c, ti, 0, math.Inf(1)), 1) {
-			a.keepProbe()
 			return c
 		}
 	}
@@ -520,29 +500,12 @@ func (a *allocator) evaluate() Eval {
 	return ev
 }
 
+// resize returns s with length n, reallocating only on growth.
 //
 //mc:allocfree amortized: reallocates only on growth
-func resizeFloats(s []float64, n int) []float64 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-//
-//mc:allocfree amortized: reallocates only on growth
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-//
-//mc:allocfree amortized: reallocates only on growth
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

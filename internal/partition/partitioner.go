@@ -78,40 +78,10 @@ func (p *Partitioner) Run(ts *mc.TaskSet, scheme Scheme, opts *Options) *Result 
 	return &p.res
 }
 
-// Evaluate partitions ts like Run but skips materializing the Result:
-// it returns only the feasibility verdict and the three aggregate
-// metrics, computed from the per-core analyses already cached during
-// placement. The values are bit-identical to the corresponding Result
-// fields of Run. This is the allocation-free fast path used by the
-// figure sweeps, where per-core assignments are never inspected.
-//
-//mc:allocfree the sweep fast path
-func (p *Partitioner) Evaluate(ts *mc.TaskSet, scheme Scheme, opts *Options) Eval {
-	p.a.run(ts, scheme, opts)
-	return p.a.evaluate()
-}
-
-// EvaluateAll evaluates ts under every scheme in schemes, appending
-// one Eval per scheme to dst (which may be nil) and returning it. The
-// per-set preparation — utilization rows and the task orderings, which
-// depend only on the set and the effective ordering policy — is shared
-// across the batch, so evaluating all five schemes costs noticeably
-// less than five Evaluate calls. Each Eval is bit-identical to the
-// corresponding Evaluate result.
-//
-//mc:allocfree appends to caller-owned dst only
-func (p *Partitioner) EvaluateAll(ts *mc.TaskSet, schemes []Scheme, opts *Options, dst []Eval) []Eval {
-	p.Prepare(ts)
-	for _, s := range schemes {
-		p.Place(s, opts)
-		dst = append(dst, p.Summarize())
-	}
-	return dst
-}
-
-// Prepare installs ts for a batch of Place/Summarize calls: the
-// fission of EvaluateAll into its per-set preparation, placement and
-// analysis stages, so an instrumented caller can time each stage
+// Prepare installs ts for a batch of Place/Summarize calls — the
+// evaluation path of the figure sweeps, the admission daemon and the
+// online replay, split into per-set preparation, placement and
+// analysis stages so an instrumented caller can time each stage
 // separately. Prepare computes the utilization rows and task orderings
 // shared by every scheme of the batch; it allocates nothing in the
 // steady state.
@@ -133,8 +103,9 @@ func (p *Partitioner) Place(scheme Scheme, opts *Options) {
 }
 
 // Summarize folds the per-core analyses of the last Place into an
-// Eval, bit-identical to the corresponding Evaluate / EvaluateAll
-// result.
+// Eval without materializing a Result: the feasibility verdict and the
+// three aggregate metrics, bit-identical to the corresponding fields
+// of Run's Result.
 //
 //mc:allocfree folds cached analyses into a value
 func (p *Partitioner) Summarize() Eval {

@@ -89,8 +89,9 @@ func TestPartitionerEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionerEvaluateMatchesRun asserts the cheap evaluation mode
-// reports exactly the Result fields it summarizes.
+// TestPartitionerEvaluateMatchesRun asserts the cheap evaluation path,
+// Prepare then Place/Summarize per scheme, reports exactly the Result
+// fields it summarizes.
 func TestPartitionerEvaluateMatchesRun(t *testing.T) {
 	for k := 2; k <= 6; k++ {
 		cfg := popConfig(8, k)
@@ -98,9 +99,11 @@ func TestPartitionerEvaluateMatchesRun(t *testing.T) {
 		evaler := partition.New(8, k)
 		for idx := 0; idx < 40; idx++ {
 			ts := taskgen.GenerateIndexed(&cfg, int64(7700+k), idx)
+			evaler.Prepare(ts)
 			for _, s := range partition.Schemes {
 				want := runner.Run(ts, s, nil)
-				ev := evaler.Evaluate(ts, s, nil)
+				evaler.Place(s, nil)
+				ev := evaler.Summarize()
 				if ev.Feasible != want.Feasible || ev.FailedTask != want.FailedTask {
 					t.Fatalf("%s K=%d set %d: Eval feasibility (%v,%d) vs Run (%v,%d)",
 						s, k, idx, ev.Feasible, ev.FailedTask, want.Feasible, want.FailedTask)

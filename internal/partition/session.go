@@ -29,8 +29,8 @@ import (
 // given scheme's pick rule and options. It performs the same per-set
 // preparation as a batch run (utilization rows, cleared cores) and
 // leaves every task unassigned; the caller then drives Admit/Release
-// by task index. Any batch entry point (Run, Evaluate, EvaluateAll)
-// may be called afterwards — it re-prepares and clears the session —
+// by task index. Any batch entry point (Run, or Prepare with
+// Place/Summarize) may be called afterwards — it re-prepares and clears the session —
 // and vice versa, so pooled Partitioners can interleave both modes.
 //
 //mc:allocfree per-set preparation into amortized storage
@@ -61,7 +61,6 @@ func (p *Partitioner) Admit(ti int) (int, bool) {
 	}
 	c := a.pick(ti)
 	if c < 0 {
-		a.probeOK = false
 		if a.opts.trace() {
 			a.trace = append(a.trace, Step{Task: ti, Core: -1})
 		}

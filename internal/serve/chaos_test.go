@@ -117,8 +117,10 @@ func TestChaosSlowBackendYieldsPartialVerdicts(t *testing.T) {
 		t.Fatalf("got %d verdicts before the deadline, want exactly 2", len(resp.Verdicts))
 	}
 	p := partition.New(4, ts.MaxCrit())
+	p.Prepare(ts)
 	for i := 0; i < 2; i++ {
-		want := p.Evaluate(ts, partition.Schemes[i], nil)
+		p.Place(partition.Schemes[i], nil)
+		want := p.Summarize()
 		if resp.Verdicts[i].Admitted != want.Feasible {
 			t.Errorf("partial verdict %d disagrees with direct analysis", i)
 		}
@@ -205,8 +207,9 @@ func TestChaosConcurrentMixedFaults(t *testing.T) {
 		m := []int{4, 2, 4, 3}[i]
 		want := false
 		p := partition.New(m, ts.MaxCrit())
+		p.Prepare(ts)
 		for _, scheme := range partition.Schemes {
-			if p.Evaluate(ts, scheme, nil).Feasible {
+			if p.Place(scheme, nil); p.Summarize().Feasible {
 				want = true
 				break
 			}

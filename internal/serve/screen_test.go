@@ -92,8 +92,9 @@ func TestScreenSoundnessDifferential(t *testing.T) {
 				continue
 			}
 			p := partition.NewWithBackend(m, k, be)
+			p.Prepare(ts)
 			for _, scheme := range partition.Schemes {
-				if p.Evaluate(ts, scheme, nil).Feasible {
+				if p.Place(scheme, nil); p.Summarize().Feasible {
 					out = append(out, scheme.String()+"/"+name)
 				}
 			}
