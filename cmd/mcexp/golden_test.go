@@ -46,6 +46,14 @@ func TestGoldenFigure6(t *testing.T) {
 	goldenFigure(t, "fig6", "6", "120")
 }
 
+// TestGoldenFigure5 locks the varying-K figure the same way. It is the
+// only sweep that runs K = 3, 5 and 6, so it pins the generic Theorem-1
+// recursion to the bit at every dimension the other goldens never
+// reach.
+func TestGoldenFigure5(t *testing.T) {
+	goldenFigure(t, "fig5", "5", "60")
+}
+
 // TestGoldenOnline locks the online pipeline the same way: the CDF/
 // arrival stream generation, the incremental Admit/Release replay, the
 // time-bucketed aggregation and the online chart rendering must

@@ -21,83 +21,107 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"catpa"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it returns the process exit code,
+// 0 on success and 1 on bad flags or a failed write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		m     = flag.Int("m", 8, "number of cores")
-		k     = flag.Int("k", 4, "criticality levels")
-		nStr  = flag.String("n", "40:200", "task-count range lo:hi")
-		nsu   = flag.Float64("nsu", 0.6, "normalized system utilization")
-		ifc   = flag.String("ifc", "0.4:0.4", "increment-factor range lo:hi")
-		seed  = flag.Int64("seed", 1, "base seed")
-		count = flag.Int("count", 1, "number of task sets")
-		out   = flag.String("o", "", "output directory (default stdout)")
+		m     = fs.Int("m", 8, "number of cores")
+		k     = fs.Int("k", 4, "criticality levels")
+		nStr  = fs.String("n", "40:200", "task-count range lo:hi")
+		nsu   = fs.Float64("nsu", 0.6, "normalized system utilization")
+		ifc   = fs.String("ifc", "0.4:0.4", "increment-factor range lo:hi")
+		seed  = fs.Int64("seed", 1, "base seed")
+		count = fs.Int("count", 1, "number of task sets")
+		out   = fs.String("o", "", "output directory (default stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mcgen:", err)
+		return 1
+	}
 
 	cfg := catpa.DefaultGenConfig()
 	cfg.M = *m
 	cfg.K = *k
 	cfg.NSU = *nsu
 	var err error
-	if cfg.N, err = parseIntRange(*nStr); err != nil {
-		fatal(err)
+	if cfg.N.Lo, cfg.N.Hi, err = parsePair(*nStr, strconv.Atoi); err != nil {
+		return fail(err)
 	}
-	if cfg.IFC, err = parseRange(*ifc); err != nil {
-		fatal(err)
+	if cfg.IFC.Lo, cfg.IFC.Hi, err = parsePair(*ifc, parseFinite); err != nil {
+		return fail(err)
 	}
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	if *count > 1 && *out == "" {
+		return fail(errors.New("use -o for multiple sets"))
 	}
 
 	for i := 0; i < *count; i++ {
 		ts := catpa.GenerateTaskSet(&cfg, *seed, i)
 		data, err := json.MarshalIndent(ts, "", "  ")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *out == "" {
-			if *count > 1 {
-				fatal(fmt.Errorf("use -o for multiple sets"))
-			}
-			fmt.Println(string(data))
-			return
+			fmt.Fprintln(stdout, string(data))
+			return 0
 		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		name := filepath.Join(*out, fmt.Sprintf("set-%04d.json", i))
 		if err := os.WriteFile(name, data, 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (N=%d)\n", name, ts.Len())
+		fmt.Fprintf(stderr, "wrote %s (N=%d)\n", name, ts.Len())
 	}
+	return 0
 }
 
-func parseRange(s string) (catpa.Range, error) {
-	var r catpa.Range
-	if _, err := fmt.Sscanf(s, "%g:%g", &r.Lo, &r.Hi); err != nil {
-		return r, fmt.Errorf("invalid range %q (want lo:hi)", s)
+// parsePair parses "lo:hi", applying parse to each side; anything
+// else, trailing characters included, is an error.
+func parsePair[T any](s string, parse func(string) (T, error)) (lo, hi T, err error) {
+	a, b, ok := strings.Cut(s, ":")
+	lo, errLo := parse(a)
+	hi, errHi := parse(b)
+	if !ok || errLo != nil || errHi != nil {
+		var zero T
+		return zero, zero, fmt.Errorf("invalid range %q (want lo:hi)", s)
 	}
-	return r, nil
+	return lo, hi, nil
 }
 
-func parseIntRange(s string) (catpa.IntRange, error) {
-	var r catpa.IntRange
-	if _, err := fmt.Sscanf(s, "%d:%d", &r.Lo, &r.Hi); err != nil {
-		return r, fmt.Errorf("invalid range %q (want lo:hi)", s)
+// parseFinite parses a finite float64.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = errors.New("not finite")
 	}
-	return r, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcgen:", err)
-	os.Exit(1)
+	return f, err
 }

@@ -109,61 +109,3 @@ func TestAddDeltaHandComputed(t *testing.T) {
 		t.Error("min-term cache survived a level-K Add")
 	}
 }
-
-// TestAdd4MatchesGenericLoops is the differential check behind the
-// K = 4 unrolled Add: on exhaustive small rows, add4 (dispatched
-// automatically for K = 4) must leave bitwise the state of the generic
-// per-level loops, here replayed by hand on a K = 4 shadow whose
-// dispatch is bypassed via direct field arithmetic.
-func TestAdd4MatchesGenericLoops(t *testing.T) {
-	rows := [][]float64{
-		{0.11, 0.22, 0.33, 0.44},
-		{0.07, 0.07, 0.5, 0.625},
-		{0.3, 0.31, 0.32, 0.33},
-	}
-	for crit := 1; crit <= 4; crit++ {
-		var got State
-		got.Reset(4)
-		// Shadow accumulators replicating Add's generic loops.
-		own := make([]float64, 4)
-		ownTail := make([]float64, 3)
-		colTail := make([]float64, 3)
-		ownSum, ukk1 := 0.0, 0.0
-		for _, urow := range rows {
-			got.Add(crit, urow)
-			u := urow[crit-1]
-			own[crit-1] += u
-			ownSum += u
-			if crit <= 3 {
-				for i := 0; i < crit; i++ {
-					ownTail[i] += u
-				}
-			}
-			for c := 0; c < crit-1; c++ {
-				colTail[c] += urow[c]
-			}
-			if crit == 4 {
-				ukk1 += urow[2]
-			}
-		}
-		for j := range own {
-			if got.own[j] != own[j] {
-				t.Errorf("crit %d: own[%d] = %v, generic %v", crit, j, got.own[j], own[j])
-			}
-		}
-		for i := range ownTail {
-			if got.ownTail[i] != ownTail[i] {
-				t.Errorf("crit %d: ownTail[%d] = %v, generic %v", crit, i, got.ownTail[i], ownTail[i])
-			}
-		}
-		for c := range colTail {
-			if got.colTail[c] != colTail[c] {
-				t.Errorf("crit %d: colTail[%d] = %v, generic %v", crit, c, got.colTail[c], colTail[c])
-			}
-		}
-		if got.ownSum != ownSum || got.ukk1 != ukk1 {
-			t.Errorf("crit %d: (ownSum, ukk1) = (%v, %v), generic (%v, %v)",
-				crit, got.ownSum, got.ukk1, ownSum, ukk1)
-		}
-	}
-}

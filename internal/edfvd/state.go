@@ -127,10 +127,6 @@ func (s *State) OwnLoad() float64 { return s.ownSum }
 //mc:allocfree scalar additions into amortized storage
 func (s *State) Add(crit int, urow []float64) {
 	k := s.k
-	if k == 4 {
-		s.add4(crit, urow)
-		return
-	}
 	u := urow[crit-1]
 	s.own[crit-1] += u
 	s.ownSum += u
@@ -148,51 +144,6 @@ func (s *State) Add(crit int, urow []float64) {
 	}
 	if crit == k && k >= 2 {
 		s.ukk1 += urow[k-2]
-		s.mtOK = false
-	}
-	s.n++
-}
-
-// add4 is Add unrolled for K = 4: one straight-line block per
-// criticality level, each sum receiving exactly the one addition the
-// generic loops would apply.
-//
-//mc:allocfree straight-line scalar additions
-func (s *State) add4(crit int, urow []float64) {
-	own, ownTail, colTail := s.own, s.ownTail, s.colTail
-	_ = own[3]
-	_ = ownTail[2]
-	_ = colTail[2]
-	switch crit {
-	case 1:
-		u := urow[0]
-		own[0] += u
-		s.ownSum += u
-		ownTail[0] += u
-	case 2:
-		u := urow[1]
-		own[1] += u
-		s.ownSum += u
-		ownTail[0] += u
-		ownTail[1] += u
-		colTail[0] += urow[0]
-	case 3:
-		u := urow[2]
-		own[2] += u
-		s.ownSum += u
-		ownTail[0] += u
-		ownTail[1] += u
-		ownTail[2] += u
-		colTail[0] += urow[0]
-		colTail[1] += urow[1]
-	default: // crit == 4
-		u := urow[3]
-		own[3] += u
-		s.ownSum += u
-		colTail[0] += urow[0]
-		colTail[1] += urow[1]
-		colTail[2] += urow[2]
-		s.ukk1 += urow[2]
 		s.mtOK = false
 	}
 	s.n++
@@ -276,11 +227,6 @@ func (s *State) UtilFloorWith(crit int, urow []float64) float64 {
 // reject (see fastGuard) runs first, sharing the min-term computation,
 // so callers need not screen separately.
 //
-// urow must be the full K-length row of Task.UtilRow (as for every
-// probed State query): entries above crit are never read as values,
-// but the K = 4 unrolled paths anchor their bounds-check elimination
-// on the row's full length.
-//
 //mc:allocfree scalar reads and a fixed-depth recursion
 func (s *State) FeasibleWith(crit int, urow []float64) bool {
 	k := s.k
@@ -299,42 +245,39 @@ func (s *State) FeasibleWith(crit int, urow []float64) bool {
 	if own1+minTerm > 1+Eps+fastGuard {
 		return false // the O(1) overload reject
 	}
-	if k == 4 && crit > 0 {
-		return s.feasibleWith4(crit, urow, minTerm)
-	}
-	// The Eq. 6 recursion of lambdaStep, unrolled in place: identical
-	// float operations in identical order, minus the per-level call.
-	own, colTail, ownTail := s.own, s.colTail, s.ownTail
+	// The Eq. 6 recursion of lambdaStep, unrolled in place with
+	// identical float operations in identical order. Its running product
+	// prod_{x<j} (1 - lambda_x) is bitwise theta of condition j-1 (both
+	// are the same chain of multiplies from 1*(1-0)), so one accumulator
+	// carries both. Condition 1 (i = 0) has theta = 1.
+	n := k - 1
+	own, colTail, ownTail := s.own[:n], s.colTail[:n], s.ownTail[:n]
 	theta := 1.0
-	lambda := 0.0 // lambda_1
-	prod := 1.0   // prod_{x<j} (1 - lambda_x)
-	for cond := 1; cond <= k-1; cond++ {
-		if cond >= 2 {
-			prod *= 1 - lambda
-			if prod <= Eps {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if theta <= Eps {
 				return false
 			}
-			num := colTail[cond-2]
-			if crit >= cond {
-				num += urow[cond-2]
+			num := colTail[i-1]
+			if crit > i {
+				num += urow[i-1]
 			}
-			dd := own[cond-2]
-			if crit == cond-1 {
-				dd += urow[cond-2]
+			dd := own[i-1]
+			if crit == i {
+				dd += urow[i-1]
 			}
-			rem := prod - dd
-			if rem <= Eps*prod {
+			rem := theta - dd
+			if rem <= Eps*theta {
 				return false
 			}
 			l := num / rem
 			if l < 0 || l >= 1 {
 				return false
 			}
-			lambda = l
+			theta *= 1 - l
 		}
-		theta *= 1 - lambda
-		tail := ownTail[cond-1]
-		if crit >= cond && crit <= k-1 {
+		tail := ownTail[i]
+		if crit > i && crit <= n {
 			tail += urow[crit-1]
 		}
 		if theta-(tail+minTerm) >= -Eps {
@@ -342,86 +285,6 @@ func (s *State) FeasibleWith(crit int, urow []float64) bool {
 		}
 	}
 	return false
-}
-
-// feasibleWith4 is the generic FeasibleWith recursion fully unrolled
-// for K = 4 (the paper's default dimension) and a real candidate
-// (crit >= 1). The float operations are those of the generic loop in
-// the same order; the factors the loop multiplies by exactly 1.0
-// (lambda_1 = 0) are elided, which is bitwise identity, and every
-// bounds check resolves at compile time. The caller has already run
-// the k == 1 head and the overload fast-reject.
-//
-//mc:allocfree straight-line scalar arithmetic
-func (s *State) feasibleWith4(crit int, urow []float64, minTerm float64) bool {
-	own, colTail, ownTail := s.own, s.colTail, s.ownTail
-	_ = own[1]
-	_ = colTail[1]
-	_ = ownTail[2]
-	_ = urow[2]
-
-	// Condition 1: theta = 1 (lambda_1 = 0).
-	tail := ownTail[0]
-	if crit <= 3 {
-		tail += urow[crit-1]
-	}
-	if 1-(tail+minTerm) >= -Eps {
-		return true
-	}
-
-	// Condition 2: lambda_2 with running product P = 1.
-	num := colTail[0]
-	if crit >= 2 {
-		num += urow[0]
-	}
-	dd := own[0]
-	if crit == 1 {
-		dd += urow[0]
-	}
-	rem := 1 - dd
-	if rem <= Eps {
-		return false
-	}
-	l2 := num / rem
-	if l2 < 0 || l2 >= 1 {
-		return false
-	}
-	theta := 1 - l2
-	tail = ownTail[1]
-	if crit == 2 || crit == 3 {
-		tail += urow[crit-1]
-	}
-	if theta-(tail+minTerm) >= -Eps {
-		return true
-	}
-
-	// Condition 3: lambda_3 with P = 1 - lambda_2.
-	prod := 1 - l2
-	if prod <= Eps {
-		return false
-	}
-	num = colTail[1]
-	if crit >= 3 {
-		num += urow[1]
-	}
-	dd = own[1]
-	if crit == 2 {
-		dd += urow[1]
-	}
-	rem = prod - dd
-	if rem <= Eps*prod {
-		return false
-	}
-	l3 := num / rem
-	if l3 < 0 || l3 >= 1 {
-		return false
-	}
-	theta *= 1 - l3
-	tail = ownTail[2]
-	if crit == 3 {
-		tail += urow[2]
-	}
-	return theta-(tail+minTerm) >= -Eps
 }
 
 // muWith returns mu(cond) of the virtually probed subset: the cached
@@ -495,18 +358,15 @@ type ProbeEval struct {
 //mc:allocfree fills a caller-owned scalar struct
 func (s *State) EvalWith(crit int, urow []float64, ev *ProbeEval) {
 	k := s.k
-	ev.FeasibleK = 0
-	ev.CoreUtil = math.Inf(1)
-	ev.CoreUtilWorst = math.Inf(1)
 	if k == 1 {
 		u := s.own[0]
 		if crit == 1 {
 			u += urow[0]
 		}
 		if u <= 1+Eps {
-			ev.FeasibleK = 1
-			ev.CoreUtil = u
-			ev.CoreUtilWorst = u
+			*ev = ProbeEval{CoreUtil: u, CoreUtilWorst: u, FeasibleK: 1}
+		} else {
+			ev.setInfeasible()
 		}
 		return
 	}
@@ -516,78 +376,80 @@ func (s *State) EvalWith(crit int, urow []float64, ev *ProbeEval) {
 		own1 += urow[k-2]
 	}
 	if own1+minTerm > 1+Eps+fastGuard {
-		return // the O(1) overload reject: nothing holds
-	}
-	if k == 4 && crit > 0 {
-		s.evalWith4(crit, urow, minTerm, ev)
+		ev.setInfeasible() // the O(1) overload reject: nothing holds
 		return
 	}
 	s.evalScan(crit, urow, minTerm, ev)
 }
 
-// evalScan is the generic condition scan of EvalWith, after the k == 1
-// head, the overload fast-reject and the min-term computation.
+// setInfeasible fills ev with the readings of a subset no condition
+// holds for.
+//
+//mc:allocfree three scalar stores
+func (ev *ProbeEval) setInfeasible() {
+	*ev = ProbeEval{CoreUtil: math.Inf(1), CoreUtilWorst: math.Inf(1)}
+}
+
+// evalScan is the condition scan of EvalWith, after the k == 1 head,
+// the overload fast-reject and the min-term computation. It runs
+// FeasibleWith's recursion without the early accept, collecting the
+// smallest holding condition and both Eq. 9 readings in locals, and
+// writes ev once.
 //
 //mc:allocfree scalar reads and a fixed-depth recursion
 func (s *State) evalScan(crit int, urow []float64, minTerm float64, ev *ProbeEval) {
-	k := s.k
-	// The Eq. 6 recursion of lambdaStep, unrolled in place: identical
-	// float operations in identical order, minus the per-level call. An
-	// invalid factor poisons every later condition, so the scan stops
+	// An invalid factor poisons every later condition, so the scan stops
 	// there (the skipped iterations contribute nothing).
-	own, colTail, ownTail := s.own, s.colTail, s.ownTail
+	n := s.k - 1
+	own, colTail, ownTail := s.own[:n], s.colTail[:n], s.ownTail[:n]
 	theta := 1.0
-	lambda := 0.0
-	prod := 1.0
-	bestUtil := math.Inf(1)
-	worstUtil := math.Inf(-1)
-	for cond := 1; cond <= k-1; cond++ {
-		if cond >= 2 {
-			prod *= 1 - lambda
-			if prod <= Eps {
+	feasibleK := 0
+	best, worst := math.Inf(1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if theta <= Eps {
 				break
 			}
-			num := colTail[cond-2]
-			if crit >= cond {
-				num += urow[cond-2]
+			num := colTail[i-1]
+			if crit > i {
+				num += urow[i-1]
 			}
-			dd := own[cond-2]
-			if crit == cond-1 {
-				dd += urow[cond-2]
+			dd := own[i-1]
+			if crit == i {
+				dd += urow[i-1]
 			}
-			rem := prod - dd
-			if rem <= Eps*prod {
+			rem := theta - dd
+			if rem <= Eps*theta {
 				break
 			}
 			l := num / rem
 			if l < 0 || l >= 1 {
 				break
 			}
-			lambda = l
+			theta *= 1 - l
 		}
-		theta *= 1 - lambda
-		tail := ownTail[cond-1]
-		if crit >= cond && crit <= k-1 {
+		tail := ownTail[i]
+		if crit > i && crit <= n {
 			tail += urow[crit-1]
 		}
-		a := theta - (tail + minTerm)
-		if a >= -Eps {
-			if ev.FeasibleK == 0 {
-				ev.FeasibleK = cond
+		if a := theta - (tail + minTerm); a >= -Eps {
+			if feasibleK == 0 {
+				feasibleK = i + 1
 			}
 			u := 1 - a
-			if u < bestUtil {
-				bestUtil = u
+			if u < best {
+				best = u
 			}
-			if u > worstUtil {
-				worstUtil = u
+			if u > worst {
+				worst = u
 			}
 		}
 	}
-	if ev.FeasibleK > 0 {
-		ev.CoreUtil = bestUtil
-		ev.CoreUtilWorst = worstUtil
+	if feasibleK == 0 {
+		ev.setInfeasible()
+		return
 	}
+	*ev = ProbeEval{CoreUtil: best, CoreUtilWorst: worst, FeasibleK: feasibleK}
 }
 
 // ProbeBoundedWith is EvalWith behind the certified UtilFloorWith
@@ -617,130 +479,12 @@ func (s *State) ProbeBoundedWith(crit int, urow []float64, base, margin float64,
 	if own1+minTerm-1e-11-base >= margin {
 		return false
 	}
-	ev.FeasibleK = 0
-	ev.CoreUtil = math.Inf(1)
-	ev.CoreUtilWorst = math.Inf(1)
 	if own1+minTerm > 1+Eps+fastGuard {
-		return true // overload reject: ev holds the infeasible readings
-	}
-	if k == 4 && crit > 0 {
-		s.evalWith4(crit, urow, minTerm, ev)
+		ev.setInfeasible() // the overload reject
 		return true
 	}
 	s.evalScan(crit, urow, minTerm, ev)
 	return true
-}
-
-// evalWith4 is the generic EvalWith scan fully unrolled for K = 4 and
-// a real candidate (crit >= 1), mirroring feasibleWith4: identical
-// float operations in identical order, with the exact-1.0 factors
-// elided and every bounds check resolved at compile time. The caller
-// has already run the k == 1 head and the overload fast-reject, and
-// initialized ev to the infeasible readings.
-//
-//mc:allocfree straight-line scalar arithmetic into a caller struct
-func (s *State) evalWith4(crit int, urow []float64, minTerm float64, ev *ProbeEval) {
-	own, colTail, ownTail := s.own, s.colTail, s.ownTail
-	_ = own[1]
-	_ = colTail[1]
-	_ = ownTail[2]
-	_ = urow[2]
-	bestUtil := math.Inf(1)
-	worstUtil := math.Inf(-1)
-
-	// Condition 1: theta = 1 (lambda_1 = 0).
-	tail := ownTail[0]
-	if crit <= 3 {
-		tail += urow[crit-1]
-	}
-	if a := 1 - (tail + minTerm); a >= -Eps {
-		ev.FeasibleK = 1
-		u := 1 - a
-		bestUtil, worstUtil = u, u
-	}
-
-	// The conditions 2..3 chain; an invalid lambda factor poisons the
-	// rest, exiting the block.
-	for {
-		// Condition 2: lambda_2 with running product P = 1.
-		num := colTail[0]
-		if crit >= 2 {
-			num += urow[0]
-		}
-		dd := own[0]
-		if crit == 1 {
-			dd += urow[0]
-		}
-		rem := 1 - dd
-		if rem <= Eps {
-			break
-		}
-		l2 := num / rem
-		if l2 < 0 || l2 >= 1 {
-			break
-		}
-		theta := 1 - l2
-		tail = ownTail[1]
-		if crit == 2 || crit == 3 {
-			tail += urow[crit-1]
-		}
-		if a := theta - (tail + minTerm); a >= -Eps {
-			if ev.FeasibleK == 0 {
-				ev.FeasibleK = 2
-			}
-			u := 1 - a
-			if u < bestUtil {
-				bestUtil = u
-			}
-			if u > worstUtil {
-				worstUtil = u
-			}
-		}
-
-		// Condition 3: lambda_3 with P = 1 - lambda_2.
-		prod := 1 - l2
-		if prod <= Eps {
-			break
-		}
-		num = colTail[1]
-		if crit >= 3 {
-			num += urow[1]
-		}
-		dd = own[1]
-		if crit == 2 {
-			dd += urow[1]
-		}
-		rem = prod - dd
-		if rem <= Eps*prod {
-			break
-		}
-		l3 := num / rem
-		if l3 < 0 || l3 >= 1 {
-			break
-		}
-		theta *= 1 - l3
-		tail = ownTail[2]
-		if crit == 3 {
-			tail += urow[2]
-		}
-		if a := theta - (tail + minTerm); a >= -Eps {
-			if ev.FeasibleK == 0 {
-				ev.FeasibleK = 3
-			}
-			u := 1 - a
-			if u < bestUtil {
-				bestUtil = u
-			}
-			if u > worstUtil {
-				worstUtil = u
-			}
-		}
-		break
-	}
-	if ev.FeasibleK > 0 {
-		ev.CoreUtil = bestUtil
-		ev.CoreUtilWorst = worstUtil
-	}
 }
 
 // Eval analyzes the committed subset into ev. O(K).

@@ -12,10 +12,9 @@ import (
 //
 //   - State vs State must be bitwise: a probed query (EvalWith,
 //     ProbeBoundedWith) must leave exactly the readings the committed
-//     query reports after the corresponding Add, and the specialized
-//     K = 4 paths must be indistinguishable from the generic scan.
-//     This is the Backend delta contract's bit-identity invariant at
-//     the State seam.
+//     query reports after the corresponding Add, and ReportInto's
+//     lambdaStep recursion must reproduce them. This is the Backend
+//     delta contract's bit-identity invariant at the State seam.
 //   - State vs the matrix analysis (AnalyzeInto on the subset with the
 //     candidate physically added) must agree on every verdict and on
 //     every reading up to accumulation order: the two representations
@@ -123,11 +122,12 @@ func TestStateQueriesMatchAnalysis(t *testing.T) {
 }
 
 // TestStateProbeCommitBitIdentity pins the delta contract at the State
-// seam: the probed readings of a candidate must be bitwise the
-// committed readings after Add — even though for K = 4 the probe runs
-// the unrolled evalWith4 while the committed query runs the generic
-// scan. Any elided multiply or reordered operation in the specialized
-// paths would surface here as a one-ulp mismatch.
+// seam for K = 1..6: the probed readings of a candidate must be bitwise
+// the committed readings after Add, and both must be bitwise the
+// readings ReportInto derives through lambdaStep, which keeps the
+// Eq. 6 running product in its own variable where the EvalWith scan
+// reuses theta. A reordered operation or a product that drifts from
+// theta would surface here as a one-ulp mismatch.
 func TestStateProbeCommitBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for k := 1; k <= 6; k++ {

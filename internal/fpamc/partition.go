@@ -78,11 +78,11 @@ func init() {
 // committed placement order with the candidate appended last) with the
 // same float operations, warm and cold fixed points meet in the same
 // least fixed point bit-for-bit under warmOK, and a task is only ever
-// skipped when its inputs are unchanged since its last recompute. The
-// differential tests in backend_diff_test.go, FuzzAMCProbeAgreement
-// (every probe against Schedulable) and the FuzzIncrementalAgreement
-// gate in internal/partition check this on random subsets and random
-// placement histories.
+// skipped when its inputs are unchanged since its last recompute.
+// FuzzAMCProbeAgreement (every probe against Schedulable),
+// FuzzBackendAgreement (every heuristic's cores against Schedulable)
+// and the FuzzIncrementalAgreement gate in internal/partition check
+// this on random subsets and random placement histories.
 type Backend struct {
 	m  int
 	ts *mc.TaskSet
@@ -132,10 +132,8 @@ type Backend struct {
 	pLO, pHI, pTR      []float64
 	pOK                bool
 
-	// Batch scratch for schedulable (the verdict-only reference used
-	// by the differential tests) and for rebuild's rank sort.
+	// Scratch for rebuild's priority sort.
 	prio []int
-	rank []int
 }
 
 // Name implements partition.Backend.
@@ -753,45 +751,6 @@ func (b *Backend) coreTr(c, t, myRank, cand int, loR, seed, bound float64) float
 	return math.Inf(1)
 }
 
-// schedulable is the verdict-only AMC-rtb batch test over a subset
-// given as task indices into the prepared set — the reference the
-// incremental probe is differentially tested against. It reproduces
-// Schedulable's verdict exactly — same priority order (a stable
-// insertion sort with the Priorities comparison), same fixed points
-// with the demand sums accumulated in the same index order — without
-// building an Analysis.
-//
-//mc:allocfree order and rank live in reusable scratch
-func (b *Backend) schedulable(idx []int) bool {
-	n := len(idx)
-	b.prio = resize(b.prio, n)
-	b.rank = resize(b.rank, n)
-	for i := 0; i < n; i++ {
-		b.prio[i] = i
-	}
-	// Stable insertion sort on positions: strict-before moves keep
-	// equal elements in input order, matching sort.SliceStable in
-	// Priorities.
-	for i := 1; i < n; i++ {
-		p := b.prio[i]
-		j := i
-		for j > 0 && b.priorityBefore(idx[p], idx[b.prio[j-1]]) {
-			b.prio[j] = b.prio[j-1]
-			j--
-		}
-		b.prio[j] = p
-	}
-	for pos, i := range b.prio {
-		b.rank[i] = pos
-	}
-	for i := 0; i < n; i++ {
-		if !b.taskSchedulable(idx, i) {
-			return false
-		}
-	}
-	return true
-}
-
 // priorityBefore reports whether task a strictly precedes task b in
 // the deadline-monotonic order: shorter period first, ties toward the
 // higher criticality, then the smaller ID (the Priorities comparison).
@@ -807,106 +766,6 @@ func (b *Backend) priorityBefore(a, c int) bool {
 		return ta.Crit > tc.Crit
 	}
 	return ta.ID < tc.ID
-}
-
-// taskSchedulable checks the applicable AMC-rtb bounds of the task at
-// position i of idx, in the order analyzeTask derives them: LO for
-// everyone, then stable HI and the transition bound for
-// high-criticality tasks. Early exits are verdict-equivalent — each
-// fixed point depends only on task parameters and (for the transition
-// bound) the task's own LO response, never on another task's verdict.
-//
-//mc:allocfree three closure-free fixed points
-func (b *Backend) taskSchedulable(idx []int, i int) bool {
-	t := &b.ts.Tasks[idx[i]]
-	deadline := t.Period
-	lo := b.loResponse(idx, i, deadline)
-	if lo > deadline+Eps {
-		return false
-	}
-	if t.Crit < 2 {
-		return true
-	}
-	if b.hiResponse(idx, i, deadline) > deadline+Eps {
-		return false
-	}
-	return b.transitionResponse(idx, i, deadline, lo) <= deadline+Eps
-}
-
-// loResponse is the LO-mode fixed point of analyzeTask (everyone
-// interferes with level-1 budgets), inlined without the closure.
-//
-//mc:allocfree arithmetic over the prepared set
-func (b *Backend) loResponse(idx []int, i int, bound float64) float64 {
-	ts := b.ts
-	t := &ts.Tasks[idx[i]]
-	r := t.C(1)
-	for iter := 0; iter < maxIterations; iter++ {
-		demand := t.C(1)
-		for j := range idx {
-			if j != i && b.rank[j] < b.rank[i] {
-				demand += math.Ceil((r-Eps)/ts.Tasks[idx[j]].Period) * ts.Tasks[idx[j]].C(1)
-			}
-		}
-		if demand <= r+Eps || demand > bound+Eps {
-			return demand
-		}
-		r = demand
-	}
-	return math.Inf(1)
-}
-
-// hiResponse is the stable HI-mode fixed point (only high-criticality
-// tasks interfere, at level-2 budgets).
-//
-//mc:allocfree arithmetic over the prepared set
-func (b *Backend) hiResponse(idx []int, i int, bound float64) float64 {
-	ts := b.ts
-	t := &ts.Tasks[idx[i]]
-	r := t.C(2)
-	for iter := 0; iter < maxIterations; iter++ {
-		demand := t.C(2)
-		for j := range idx {
-			if j != i && b.rank[j] < b.rank[i] && ts.Tasks[idx[j]].Crit >= 2 {
-				demand += math.Ceil((r-Eps)/ts.Tasks[idx[j]].Period) * ts.Tasks[idx[j]].C(2)
-			}
-		}
-		if demand <= r+Eps || demand > bound+Eps {
-			return demand
-		}
-		r = demand
-	}
-	return math.Inf(1)
-}
-
-// transitionResponse is the AMC-rtb LO->HI fixed point: HI
-// interference at level-2 budgets over the whole window, LO
-// interference at level-1 budgets frozen at the task's own LO-mode
-// response loR.
-//
-//mc:allocfree arithmetic over the prepared set
-func (b *Backend) transitionResponse(idx []int, i int, bound, loR float64) float64 {
-	ts := b.ts
-	t := &ts.Tasks[idx[i]]
-	r := t.C(2)
-	for iter := 0; iter < maxIterations; iter++ {
-		demand := t.C(2)
-		for j := range idx {
-			if j == i || b.rank[j] >= b.rank[i] {
-				continue
-			}
-			if ts.Tasks[idx[j]].Crit >= 2 {
-				demand += math.Ceil((r-Eps)/ts.Tasks[idx[j]].Period) * ts.Tasks[idx[j]].C(2)
-			} else {
-				demand += math.Ceil((loR-Eps)/ts.Tasks[idx[j]].Period) * ts.Tasks[idx[j]].C(1)
-			}
-		}
-		if demand <= r+Eps || demand > bound+Eps {
-			return demand
-		}
-		r = demand
-	}
-	return math.Inf(1)
 }
 
 // resize returns s with length n, reallocating only on growth.

@@ -93,21 +93,3 @@ func funcAnnotated(facts *Facts, fn *types.Func, key string) bool {
 	}
 	return facts.HasObj(fn, key)
 }
-
-// enclosingFunc resolves the function object a node's enclosing
-// top-level declaration defines, attributing nodes inside method and
-// function literals to the surrounding named declaration (the unit of
-// annotation and of the call graph).
-func enclosingFunc(pkg *Package, file *ast.File, pos ast.Node) *types.Func {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fd.Pos() <= pos.Pos() && pos.Pos() <= fd.End() {
-			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			return fn
-		}
-	}
-	return nil
-}

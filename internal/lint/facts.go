@@ -65,12 +65,6 @@ func (f *Facts) ObjsWith(key string) []types.Object {
 // SetGlobal records a module-wide fact.
 func (f *Facts) SetGlobal(key string, v any) { f.global[key] = v }
 
-// Global returns the module-wide fact under key, or nil, false.
-func (f *Facts) Global(key string) (any, bool) {
-	v, ok := f.global[key]
-	return v, ok
-}
-
 // globalFact returns the module-wide fact under key asserted to T;
 // false when absent or of another type.
 func globalFact[T any](f *Facts, key string) (T, bool) {

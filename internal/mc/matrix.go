@@ -77,62 +77,6 @@ func (m *UtilMatrix) apply(t *Task, sign float64) {
 	m.n += int(sign)
 }
 
-// AddRow accumulates a task with criticality level crit whose
-// per-level utilizations were precomputed with Task.UtilRow:
-// urow[k-1] = u(k) for k = 1..K. It performs exactly the additions of
-// Add in the same order, so the resulting sums are bit-identical;
-// it exists so hot paths can amortize the K divisions of Task.Util
-// across many matrix operations.
-//
-//mc:allocfree the probe loop's commit step
-func (m *UtilMatrix) AddRow(crit int, urow []float64) {
-	m.applyRow(crit, urow, +1)
-}
-
-// RemoveRow undoes AddRow arithmetically (like Remove, the sums may
-// carry floating-point residue; prefer SaveRow/RestoreRow for exact
-// probing).
-//
-//mc:allocfree the probe loop's undo step
-func (m *UtilMatrix) RemoveRow(crit int, urow []float64) {
-	m.applyRow(crit, urow, -1)
-}
-
-//mc:allocfree shared body of AddRow and RemoveRow
-func (m *UtilMatrix) applyRow(crit int, urow []float64, sign float64) {
-	if crit > m.k {
-		panic(fmt.Sprintf("mc: criticality %d exceeds matrix K=%d", crit, m.k))
-	}
-	row := m.u[(crit-1)*m.k : (crit-1)*m.k+m.k]
-	for k := range row {
-		row[k] += sign * urow[k]
-	}
-	m.n += int(sign)
-}
-
-// SaveRow copies the row U_j(1..K) into dst (which must have length at
-// least K). Together with RestoreRow it lets a probe undo a temporary
-// Add exactly: unlike Add-then-Remove, whose (u+x)-x arithmetic can
-// leave one-ulp residue in the sums, a restored row is bitwise
-// identical to the pre-probe state.
-//
-//mc:allocfree copies into caller-owned scratch
-func (m *UtilMatrix) SaveRow(j int, dst []float64) {
-	m.check(j, 1)
-	copy(dst[:m.k], m.u[(j-1)*m.k:(j-1)*m.k+m.k])
-}
-
-// RestoreRow writes back a row captured by SaveRow and decrements the
-// task count, exactly undoing one Add (or AddRow) of a task with
-// criticality j performed since the save.
-//
-//mc:allocfree copies from caller-owned scratch
-func (m *UtilMatrix) RestoreRow(j int, src []float64) {
-	m.check(j, 1)
-	copy(m.u[(j-1)*m.k:(j-1)*m.k+m.k], src[:m.k])
-	m.n--
-}
-
 // Data exposes the backing row-major K x K utilization sums:
 // Data()[(j-1)*K + (k-1)] = U_j^Psi(k). It exists so the schedulability
 // analysis can read the matrix without per-entry bounds checks; callers

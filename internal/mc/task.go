@@ -68,9 +68,7 @@ func (t *Task) Util(k int) float64 {
 // UtilRow fills dst[k-1] = u_i(k) for k = 1..kmax, saturating at the
 // task's own criticality level like Util. dst must have length at
 // least kmax. It divides only for k <= Crit and copies the saturated
-// value above, so the values are bitwise those of Util and matrices
-// built from precomputed rows (UtilMatrix.AddRow) match matrices built
-// from Add exactly.
+// value above, so the values are bitwise those of Util.
 //
 //mc:allocfree fills caller-owned storage
 func (t *Task) UtilRow(kmax int, dst []float64) {

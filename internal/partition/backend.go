@@ -75,6 +75,13 @@ type Backend interface {
 	// FeasibleWith reports whether core c stays schedulable when task
 	// ti is added — the virtual per-core test of Algorithm 1 used by
 	// the classical schemes. It must not mutate committed state.
+	//
+	// It is a method of its own, not ProbeUtil(c, ti, false, 0, +Inf)
+	// compared with +Inf, because a verdict can stop early: the EDF-VD
+	// backend accepts on the O(1) Eq. 4 sum and exits at the first
+	// holding Theorem-1 condition, where ProbeUtil must scan them all.
+	// Routing the classical scans through ProbeUtil made
+	// BenchmarkFig1_NSU 18-46% slower (DESIGN.md Section 14).
 	FeasibleWith(c, ti int) bool
 
 	// ProbeUtil returns the core-utilization metric of core c with

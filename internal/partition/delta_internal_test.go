@@ -120,8 +120,10 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 // TestEdfvdAddMatchesProbe pins the probe/commit bit-identity the
 // delta contract promises on the backend seam: the committed Eq. 9
 // readings after Place(ti) are bitwise the probed readings of ti
-// against the pre-Place core, for every placement along a growing core.
-// The probe slot is cleared before each Place so the commit re-analyzes
+// against the pre-Place core, for every placement along a growing K = 4
+// core. The probe folds the candidate's row into each read of the
+// generic Theorem-1 recursion; the commit reads the Add-ed sums. The
+// probe slot is cleared before each Place so the commit re-analyzes
 // the Add-ed state instead of installing the probe's own readings.
 func TestEdfvdAddMatchesProbe(t *testing.T) {
 	ts := deltaSet()

@@ -162,7 +162,7 @@ func TestIncrementalAgreementSweep(t *testing.T) {
 // a session that admits tasks in a batch run's allocation order (read
 // off the batch trace) commits bitwise the batch run's placements —
 // including the rejections. This holds per scheme because Admit and the
-// batch loops dispatch through the same per-task pick rule.
+// batch placement pass dispatch through the same per-task pick rule.
 func TestSessionMatchesBatchOrder(t *testing.T) {
 	for _, name := range []string{partition.DefaultBackend, "amcrtb"} {
 		t.Run(name, func(t *testing.T) {

@@ -125,22 +125,49 @@ func (a *allocator) run(ts *mc.TaskSet, scheme Scheme, opts *Options) {
 	a.runPrepared(scheme, opts)
 }
 
-// runPrepared executes one pass over the task set installed by the
-// last prepSet.
+// runPrepared executes one allocation run over the task set installed
+// by the last prepSet: one ordered placement pass, or two for Hybrid,
+// which places the high-criticality tasks (l_i >= 2) before the
+// low-criticality ones (l_i = 1), per Rodriguez et al. The classical
+// schemes order by decreasing own-level utilization, CA-TPA by
+// decreasing contribution; pick supplies each scheme's core choice.
 //
-//mc:allocfree dispatches to the per-scheme loops
+//mc:allocfree one or two placement passes
 func (a *allocator) runPrepared(scheme Scheme, opts *Options) {
 	a.clearRun(scheme, opts)
 	switch scheme {
 	case WFD, FFD, BFD:
-		a.runClassic()
+		a.placeAll(a.orderTasks(MaxUtilOrder), 1, a.k)
 	case Hybrid:
-		a.runHybrid()
+		order := a.orderTasks(MaxUtilOrder)
+		if a.placeAll(order, 2, a.k) {
+			a.placeAll(order, 1, 1)
+		}
 	case CATPA:
-		a.runCATPA()
+		a.placeAll(a.orderTasks(ContributionOrder), 1, a.k)
 	default:
 		panic(fmt.Sprintf("partition: unknown scheme %v", scheme))
 	}
+}
+
+// placeAll is the placement pass: it walks order and places every task
+// of criticality lo..hi on the core pick chooses. It stops at the first
+// task no core accepts, records it, and reports false.
+//
+//mc:allocfree the pick/place loop
+func (a *allocator) placeAll(order []int, lo, hi int) bool {
+	for _, ti := range order {
+		if crit := a.ts.Tasks[ti].Crit; crit < lo || crit > hi {
+			continue
+		}
+		c := a.pick(ti)
+		if c < 0 {
+			a.fail(ti)
+			return false
+		}
+		a.place(ti, c)
+	}
+	return true
 }
 
 // place commits task ti to core c; the backend reuses the analysis
@@ -198,45 +225,6 @@ func (a *allocator) orderTasks(def OrderPolicy) []int {
 	return a.ordIdx[slot]
 }
 
-// runClassic implements FFD, BFD and WFD: tasks in decreasing
-// own-level utilization, cores compared by their Eq. 4 own-level load.
-//
-//mc:allocfree the FFD/BFD/WFD loop
-func (a *allocator) runClassic() {
-	order := a.orderTasks(MaxUtilOrder)
-	for _, ti := range order {
-		c := a.pick(ti)
-		if c < 0 {
-			a.fail(ti)
-			return
-		}
-		a.place(ti, c)
-	}
-}
-
-// pickClassic returns the target core for task ti under FFD/BFD/WFD,
-// or -1 when no core can accommodate it. Each scheme gets its own
-// scan loop so the per-core iteration carries no scheme dispatch.
-//
-// For BFD/WFD the load-hysteresis test runs before the schedulability
-// probe: a core whose load would not displace the incumbent cannot
-// change the pick whatever its verdict, so deferring the (much more
-// expensive) feasibility call behind the load gate skips the analysis
-// on most cores while selecting exactly the core the probe-first scan
-// would.
-//
-//mc:allocfree scans cached loads
-func (a *allocator) pickClassic(s Scheme, ti int) int {
-	switch s {
-	case BFD:
-		return a.pickBFD(ti)
-	case WFD:
-		return a.pickWFD(ti)
-	default:
-		return a.pickFFD(ti)
-	}
-}
-
 // pickFFD returns the first feasible core for ti, or -1.
 //
 //mc:allocfree the FFD scan
@@ -252,6 +240,13 @@ func (a *allocator) pickFFD(ti int) int {
 // pickBFD returns the fullest feasible core for ti — maximum current
 // own-level load (cached; refreshed by place via the same OwnLoad
 // sum) under the Eps hysteresis — or -1.
+//
+// The load-hysteresis test runs before the schedulability probe (here
+// and in pickWFD): a core whose load would not displace the incumbent
+// cannot change the pick whatever its verdict, so deferring the (much
+// more expensive) feasibility call behind the load gate skips the
+// analysis on most cores while selecting exactly the core the
+// probe-first scan would.
 //
 //mc:allocfree the BFD scan
 func (a *allocator) pickBFD(ti int) int {
@@ -282,53 +277,6 @@ func (a *allocator) pickWFD(ti int) int {
 		}
 	}
 	return best
-}
-
-// runHybrid allocates high-criticality tasks (l_i >= 2) with WFD and
-// then low-criticality tasks (l_i = 1) with FFD, both in decreasing
-// own-level utilization, per Rodriguez et al.
-//
-//mc:allocfree two classic passes
-func (a *allocator) runHybrid() {
-	order := a.orderTasks(MaxUtilOrder)
-	for _, ti := range order {
-		if a.ts.Tasks[ti].Crit < 2 {
-			continue
-		}
-		c := a.pick(ti)
-		if c < 0 {
-			a.fail(ti)
-			return
-		}
-		a.place(ti, c)
-	}
-	for _, ti := range order {
-		if a.ts.Tasks[ti].Crit >= 2 {
-			continue
-		}
-		c := a.pick(ti)
-		if c < 0 {
-			a.fail(ti)
-			return
-		}
-		a.place(ti, c)
-	}
-}
-
-// runCATPA implements Algorithm 1 plus the workload-imbalance fallback
-// of Section III-C.
-//
-//mc:allocfree Algorithm 1 inner loop
-func (a *allocator) runCATPA() {
-	order := a.orderTasks(ContributionOrder)
-	for _, ti := range order {
-		c := a.pick(ti)
-		if c < 0 {
-			a.fail(ti)
-			return
-		}
-		a.place(ti, c)
-	}
 }
 
 // imbalance computes the current workload imbalance factor Lambda

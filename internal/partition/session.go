@@ -122,22 +122,27 @@ func (p *Partitioner) Assigned(ti int) int {
 	return a.assign[ti]
 }
 
-// pick resolves the session scheme's per-task core selection — the
-// same rule the batch loops apply, factored to one task so Admit and
-// the batch passes cannot drift apart.
+// pick resolves the scheme's per-task core selection, or -1 when no
+// core can take ti — the one rule the batch placement pass and Admit
+// both apply, so the two cannot drift apart. Each scheme has its own
+// scan loop, so the per-core iteration carries no scheme dispatch.
 //
 //mc:allocfree dispatches to the per-scheme pick scans
 func (a *allocator) pick(ti int) int {
 	switch a.scheme {
-	case FFD, BFD, WFD:
-		return a.pickClassic(a.scheme, ti)
+	case FFD:
+		return a.pickFFD(ti)
+	case BFD:
+		return a.pickBFD(ti)
+	case WFD:
+		return a.pickWFD(ti)
 	case Hybrid:
 		// High-criticality tasks spread with WFD, low-criticality ones
-		// pack with FFD, per the batch passes of runHybrid.
+		// pack with FFD (Rodriguez et al.).
 		if a.ts.Tasks[ti].Crit >= 2 {
-			return a.pickClassic(WFD, ti)
+			return a.pickWFD(ti)
 		}
-		return a.pickClassic(FFD, ti)
+		return a.pickFFD(ti)
 	case CATPA:
 		switch {
 		case a.imbalance() > a.opts.alpha():

@@ -71,12 +71,14 @@ go test -race -count=1 -run 'Chaos|GracefulDrain|QueueFullSheds|DegradedMode' \
 
 # The static-analysis suite by name: the pass fixtures (seeded
 # violations caught on exact lines), the self-hosting real-tree-clean
-# gate, and the runtime twin of the //mc:allocfree annotations. The
+# gate, the runtime twin of the //mc:allocfree annotations, and the
+# seed corpora of the AMC-rtb fuzz targets (every probe and every
+# heuristic's cores against the closure-based Schedulable oracle). The
 # `mclint` step above already fails on real findings; this one fails
 # when the analyzer itself regresses.
 step "mclint suite + alloc-free proof"
 go test -count=1 ./internal/lint
-go test -count=1 -run 'HotPathAllocFree|BackendSchedulable|SessionAllocFree' ./internal/partition ./internal/fpamc
+go test -count=1 -run 'HotPathAllocFree|SessionAllocFree|FuzzAMCProbeAgreement|FuzzBackendAgreement' ./internal/partition ./internal/fpamc
 
 # The incremental-vs-batch differential wall by name: the deterministic
 # agreement sweep (delta commits vs Reanalyze-forced recompute, both
