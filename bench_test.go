@@ -250,7 +250,7 @@ func dualPopulation(n int, nsu float64) []*catpa.TaskSet {
 // BenchmarkFPPartition times partitioned fixed-priority AMC-rtb (FFD)
 // against partitioned EDF-VD (FFD) on the same dual-criticality
 // population, reporting both acceptance ratios (the comparison behind
-// examples/fpcompare).
+// Example_fpcompare in example_test.go).
 func BenchmarkFPPartition(b *testing.B) {
 	sets := dualPopulation(150, 0.75)
 	b.Run("AMC-rtb-FFD", func(b *testing.B) {

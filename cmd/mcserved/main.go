@@ -18,9 +18,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -50,9 +52,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drain     = fs.Duration("drain", 30*time.Second, "graceful drain budget on the first signal")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "mcserved: %v\n", err)
+		return 1
+	}
 	reg := obs.NewRegistry()
 	srv := serve.NewServer(serve.Config{
 		QueueDepth:       *queue,
@@ -64,18 +74,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxCores:         *maxCores,
 		Metrics:          reg,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Handler: srv}
 
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	fmt.Fprintf(stdout, "mcserved: serving on %s (queue %d, timeout %v)\n", *addr, *queue, *timeout)
+	fmt.Fprintf(stdout, "mcserved: serving on %s (queue %d, timeout %v)\n", ln.Addr(), *queue, *timeout)
 
 	select {
 	case err := <-errc:
+		signal.Stop(sig)
 		fmt.Fprintf(stderr, "mcserved: %v\n", err)
+		_ = srv.Shutdown(context.Background()) // Serve has stopped: finish queued work and stop the workers
 		return 1
 	case s := <-sig:
 		fmt.Fprintf(stderr, "mcserved: %v: draining (second signal aborts)\n", s)

@@ -19,8 +19,8 @@
 //
 // It also provides partitioned fixed-priority allocation using the
 // same FFD/WFD/BFD shells as the EDF-VD path, enabling the
-// EDF-VD-vs-FP acceptance comparison in examples/fpcompare and the
-// corresponding benchmarks.
+// EDF-VD-vs-FP acceptance comparison of the root package's
+// Example_fpcompare and the corresponding benchmarks.
 //
 // Correctness is cross-validated two ways (see the tests): hand-worked
 // fixed points, and execution of accepted task sets in the runtime

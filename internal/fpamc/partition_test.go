@@ -159,8 +159,8 @@ func TestPartitionedFPSurvivesRuntime(t *testing.T) {
 // exact tests, but the Eq. 7-style EDF-VD test is utilization-based
 // and pessimistic while AMC-rtb computes exact fixed points, so at
 // high load FP acceptance can exceed EDF-VD acceptance (see
-// examples/fpcompare). The test asserts both paths work and stay
-// within a plausible band of each other.
+// Example_fpcompare in the root package). The test asserts both paths
+// work and stay within a plausible band of each other.
 func TestEDFVDvsFPAcceptance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2016))
 	const trials = 150

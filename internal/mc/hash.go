@@ -5,16 +5,17 @@ import (
 	"slices"
 )
 
-// HashQuantum is the grid the canonical task-set hash quantizes every
+// HashQuantum is the grid the task-set hash quantizes every
 // floating-point parameter to before hashing. Two parameter values
-// closer than half a quantum hash identically, mirroring the Eps
-// tolerance of the utilization algebra: sets that the analysis cannot
-// tell apart should not miss a verdict cache on representation noise.
+// closer than half a quantum hash identically, so representation noise
+// (a 1e-12 wiggle from a different parser or platform) does not change
+// a set's correlation ID.
 const HashQuantum = 1e-9
 
-// TaskSetHash returns the canonical 64-bit hash of a task set: the
-// identity key of the admission daemon's verdict cache and of the
-// future sharded-sweep point identity.
+// TaskSetHash returns a 64-bit correlation hash of a task set: a short
+// ID that admission responses and benchmark checks use to tell which
+// workload an answer is about, and that sim.Timeline uses to skip a
+// core configuration it has already recorded.
 //
 // The hash is a function of the multiset of (Crit, Period, WCET
 // vector) triples only:
@@ -22,13 +23,14 @@ const HashQuantum = 1e-9
 //   - permutation-invariant — tasks are folded in a canonical sorted
 //     order, so reordering Tasks never changes the hash;
 //   - quantized — every float is snapped to the HashQuantum grid
-//     first, so sub-tolerance representation noise (a 1e-12 wiggle
-//     from a different parser or platform) hashes identically;
-//   - label-blind — Task.ID and Task.Name do not contribute, since
-//     neither influences any analysis verdict.
+//     first;
+//   - label-blind — Task.ID and Task.Name do not contribute.
 //
-// Collisions are possible in principle (it is a 64-bit digest); cache
-// consumers that cannot tolerate them must verify the full set.
+// It is therefore not an identity for an analysis answer: Task.ID
+// breaks ties in the allocation order ≻, an assignment is indexed by
+// task position, and a sub-quantum difference can flip a verdict, so
+// two sets with the same hash may be partitioned differently.
+// Collisions are also possible in principle (it is a 64-bit digest).
 func TaskSetHash(ts *TaskSet) uint64 {
 	if ts == nil || len(ts.Tasks) == 0 {
 		return fnvOffset

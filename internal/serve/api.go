@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"catpa/internal/mc"
@@ -94,8 +95,11 @@ type Response struct {
 	Cached bool `json:"cached,omitempty"`
 	// Reason explains rejected/uncertain verdicts.
 	Reason string `json:"reason,omitempty"`
-	// TaskSetHash is the canonical mc.TaskSetHash of the request's
-	// set, in hex — the verdict-cache identity.
+	// TaskSetHash is the mc.TaskSetHash of the request's set, in hex: a
+	// correlation ID that ignores task order, IDs and sub-1e-9 float
+	// noise. It is not the verdict-cache identity (that is the request
+	// body itself), and two requests with the same hash may get
+	// different assignments.
 	TaskSetHash string `json:"task_set_hash,omitempty"`
 	// Tag echoes Request.Tag.
 	Tag string `json:"tag,omitempty"`
@@ -149,9 +153,9 @@ func normalize(req *Request, maxTasks, maxCores int) (*admitJob, error) {
 	if maxK := be.MaxLevels(); maxK > 0 && k > maxK {
 		return nil, fmt.Errorf("backend %q supports at most K=%d levels, got %d", backend, maxK, k)
 	}
-	// The backend's own name, not the request's copy: the name goes into
-	// the verdict-cache key, and a decoded string shares the memory of
-	// the whole request body.
+	// The backend's own name, not the request's copy: the name keys the
+	// worker's partitioner pool, and a decoded string shares the memory
+	// of the whole request body.
 	backend = be.Name()
 	names := req.Schemes
 	if len(names) == 0 {
@@ -174,22 +178,9 @@ func normalize(req *Request, maxTasks, maxCores int) (*admitJob, error) {
 		k:           k,
 		schemes:     schemes,
 		backend:     backend,
-		tag:         req.Tag,
+		tag:         strings.Clone(req.Tag), // echoed by cached responses, so it must not pin the body
 		hash:        mc.TaskSetHash(req.TaskSet),
 		timeout:     time.Duration(req.TimeoutMS) * time.Millisecond,
 		requireFull: req.RequireFull,
 	}, nil
-}
-
-// schemeNames renders the job's scheme list canonically (cache key and
-// verdict labels).
-func (j *admitJob) schemeNames() string {
-	out := ""
-	for i, s := range j.schemes {
-		if i > 0 {
-			out += ","
-		}
-		out += s.String()
-	}
-	return out
 }

@@ -1,23 +1,21 @@
 package serve
 
-import "sync"
+import (
+	"crypto/sha256"
+	"sync"
+)
 
-// cacheKey is the verdict-cache identity: the canonical task-set hash
-// plus every request parameter that influences the verdict. Tag and
-// timeout are deliberately absent — they never change the answer.
-type cacheKey struct {
-	hash    uint64
-	m, k    int
-	backend string
-	schemes string
-}
+// cacheKey is the verdict-cache identity: the SHA-256 digest of the
+// request body's exact bytes. Task order and IDs are part of the
+// question (Assignment is indexed by position, and the order ≻ breaks
+// ties by ID), and so is every bit of every float; the tag and
+// timeout_ms do not change the answer but are in the key too, so a hit
+// echoes the request's own tag. The key pins no part of the body.
+type cacheKey [sha256.Size]byte
 
 // verdictCache is a bounded FIFO map of full-analysis responses. Only
 // complete verdicts are cached (never degraded or partial ones), so a
-// hit is always as good as re-running the analysis. Collisions on the
-// 64-bit hash would serve a wrong verdict; the key carries the set's
-// full parameter hash and the cache is advisory, matching the
-// documented TaskSetHash contract.
+// hit is what re-running the analysis on the same body would return.
 type verdictCache struct {
 	mu    sync.Mutex
 	max   int
@@ -67,14 +65,4 @@ func (c *verdictCache) put(k cacheKey, resp *Response) {
 		c.next = (c.next + 1) % c.max
 	}
 	c.m[k] = resp
-}
-
-// len reports the number of cached verdicts.
-func (c *verdictCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

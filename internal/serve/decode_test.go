@@ -403,10 +403,11 @@ func TestDecodeRequestSharesOneSlab(t *testing.T) {
 }
 
 // TestCacheKeyDoesNotPinBody: decoded strings share the request body's
-// memory, so nothing normalize puts into the verdict-cache key may be
-// one of them.
+// memory, so nothing normalize keeps past the request may be one of
+// them: the backend name keys the worker's partitioner pool and the tag
+// is echoed by the cached response.
 func TestCacheKeyDoesNotPinBody(t *testing.T) {
-	body := []byte(`{"m":2,"backend":"edfvd","task_set":{"tasks":[{"id":1,"wcet":[1],"period":4,"crit":1}]}}`)
+	body := []byte(`{"m":2,"backend":"edfvd","tag":"probe","task_set":{"tasks":[{"id":1,"wcet":[1],"period":4,"crit":1}]}}`)
 	var req Request
 	if err := decodeRequest(body, &req); err != nil {
 		t.Fatal(err)
@@ -417,6 +418,9 @@ func TestCacheKeyDoesNotPinBody(t *testing.T) {
 	}
 	if job.backend != req.Backend || unsafe.StringData(job.backend) == unsafe.StringData(req.Backend) {
 		t.Fatalf("job backend %q aliases the decoded request's", job.backend)
+	}
+	if job.tag != req.Tag || unsafe.StringData(job.tag) == unsafe.StringData(req.Tag) {
+		t.Fatalf("job tag %q aliases the decoded request's", job.tag)
 	}
 }
 

@@ -12,6 +12,8 @@ package serve
 type Hooks struct {
 	// InHandler fires in the HTTP handler goroutine after the request
 	// is decoded and validated, before queueing or degradation checks.
+	// A verdict-cache hit is answered before the body is decoded, so it
+	// never fires there.
 	InHandler func(tag string)
 	// BeforeEvaluate fires in the worker goroutine after the job is
 	// dequeued, before any partitioning work.

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,10 +119,11 @@ func (c Config) withDefaults() Config {
 // no-op via the obs nil-receiver contract.
 //
 // The stage histograms split one admission along its path: decode
-// (body read, decode, normalize), cache (the verdict-cache lookup),
-// queue_wait (enqueue to dequeue), analyze (the worker's evaluation,
-// screen included) and encode (the response write). Cache hits and
-// degraded answers skip queue_wait and analyze. screened counts the
+// (the body read and, on a cache miss, the decode and validation),
+// cache (the body digest and the verdict-cache lookup), queue_wait
+// (enqueue to dequeue), analyze (the worker's evaluation, screen
+// included) and encode (the response write). Cache hits and degraded
+// answers skip queue_wait and analyze. screened counts the
 // full-path requests the utilization screen answered without running
 // the analysis.
 type metrics struct {
@@ -295,46 +298,43 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	decode := obs.StartSpan(s.met.decode)
-	var req Request
+	// The decode stage is the body read and, on a cache miss, the decode
+	// and validation; the cache stage between them digests the body and
+	// looks it up, so a hit never decodes.
+	readStart := time.Now()
 	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
-	if err == nil {
-		err = decodeRequest(body, &req)
-	}
+	read := time.Since(readStart)
 	if err != nil {
-		decode.End()
-		s.met.badReq.Inc()
-		writeJSON(w, http.StatusBadRequest, &Response{
-			Verdict: VerdictUncertain,
-			Error:   fmt.Sprintf("bad request body: %v", err),
-		})
+		s.met.decode.Observe(read)
+		s.badRequest(w, "", fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	job, err := normalize(&req, s.cfg.MaxTasks, s.cfg.MaxCores)
-	decode.End()
-	if err != nil {
-		s.met.badReq.Inc()
-		writeJSON(w, http.StatusBadRequest, &Response{
-			Verdict: VerdictUncertain,
-			Tag:     req.Tag,
-			Error:   err.Error(),
-		})
-		return
-	}
-	s.cfg.Hooks.inHandler(job.tag)
-
-	key := cacheKey{job.hash, job.m, job.k, job.backend, job.schemeNames()}
 	lookup := obs.StartSpan(s.met.cache)
+	key := cacheKey(sha256.Sum256(body))
 	hit := s.cache.get(key)
 	lookup.End()
 	if hit != nil {
+		s.met.decode.Observe(read)
 		s.met.cached.Inc()
 		resp := *hit // shallow copy; cached entries are read-only
 		resp.Cached = true
-		resp.Tag = job.tag
 		s.respond(w, http.StatusOK, &resp, start)
 		return
 	}
+	decodeStart := time.Now()
+	var req Request
+	if err := decodeRequest(body, &req); err != nil {
+		s.met.decode.Observe(read + time.Since(decodeStart))
+		s.badRequest(w, "", fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+	job, err := normalize(&req, s.cfg.MaxTasks, s.cfg.MaxCores)
+	s.met.decode.Observe(read + time.Since(decodeStart))
+	if err != nil {
+		s.badRequest(w, req.Tag, err.Error())
+		return
+	}
+	s.cfg.Hooks.inHandler(job.tag)
 
 	// Every deadline descends from r.Context(): client disconnects and
 	// server timeouts share one cancellation path.
@@ -403,11 +403,8 @@ func (s *Server) finish(w http.ResponseWriter, key cacheKey, resp *Response, sta
 	case resp.Partial:
 		s.met.partial.Inc()
 	default:
-		// Only complete, healthy verdicts enter the cache; the stored
-		// copy drops the request-specific tag.
-		c := *resp
-		c.Tag = ""
-		s.cache.put(key, &c)
+		// Only complete, healthy verdicts enter the cache.
+		s.cache.put(key, resp)
 	}
 	switch resp.Verdict {
 	case VerdictAdmitted:
@@ -418,6 +415,12 @@ func (s *Server) finish(w http.ResponseWriter, key cacheKey, resp *Response, sta
 		s.met.uncertain.Inc()
 	}
 	s.respond(w, status, resp, start)
+}
+
+// badRequest answers a request the daemon cannot evaluate with 400.
+func (s *Server) badRequest(w http.ResponseWriter, tag, msg string) {
+	s.met.badReq.Inc()
+	writeJSON(w, http.StatusBadRequest, &Response{Verdict: VerdictUncertain, Tag: tag, Error: msg})
 }
 
 func (s *Server) respond(w http.ResponseWriter, status int, resp *Response, start time.Time) {
@@ -585,7 +588,11 @@ func (s *Server) evaluate(ctx context.Context, pool map[string]*partition.Partit
 
 // rejectReason explains a complete verdict in which no scheme admits.
 func rejectReason(job *admitJob) string {
-	return fmt.Sprintf("no scheme of [%s] admits the set on m=%d cores under %s", job.schemeNames(), job.m, job.backend)
+	names := make([]string, len(job.schemes))
+	for i, scheme := range job.schemes {
+		names[i] = scheme.String()
+	}
+	return fmt.Sprintf("no scheme of [%s] admits the set on m=%d cores under %s", strings.Join(names, ","), job.m, job.backend)
 }
 
 // writeJSON writes resp with the given status as one line of compact

@@ -3,17 +3,21 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"catpa/internal/edfvd"
 	"catpa/internal/mc"
 	"catpa/internal/obs"
 	"catpa/internal/partition"
@@ -260,6 +264,9 @@ func TestAdmitRejectsBadTransport(t *testing.T) {
 	}
 }
 
+// TestVerdictCacheRoundTrip: an exact repeat of a request is a hit that
+// echoes the request's own tag, and any other body — another tag,
+// another m — is a different question and misses.
 func TestVerdictCacheRoundTrip(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	req := &Request{TaskSet: feasibleSet(t), M: 4, Tag: "first"}
@@ -267,32 +274,213 @@ func TestVerdictCacheRoundTrip(t *testing.T) {
 	if cold.Cached {
 		t.Fatalf("first request served from an empty cache")
 	}
-	req.Tag = "second"
 	_, warm := postAdmit(t, hs.Client(), hs.URL, req)
 	if !warm.Cached {
 		t.Fatalf("second identical request missed the cache")
 	}
-	if warm.Tag != "second" {
-		t.Errorf("cached response echoes stale tag %q", warm.Tag)
+	if warm.Tag != "first" {
+		t.Errorf("cached response echoes tag %q, want %q", warm.Tag, "first")
 	}
-	if warm.Admitted != cold.Admitted || warm.Verdict != cold.Verdict || len(warm.Verdicts) != len(cold.Verdicts) {
-		t.Errorf("cache changed the verdict: %+v vs %+v", warm, cold)
+	warm.Cached = false
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("cache changed the answer: %+v vs %+v", warm, cold)
 	}
-	if n := s.cache.len(); n != 1 {
+	s.cache.mu.Lock()
+	n := len(s.cache.m)
+	s.cache.mu.Unlock()
+	if n != 1 {
 		t.Errorf("cache holds %d entries, want 1", n)
 	}
-	// A different m is a different admission question.
+	req.Tag = "second"
+	if _, other := postAdmit(t, hs.Client(), hs.URL, req); other.Cached || other.Tag != "second" {
+		t.Errorf("a retagged request hit the cache: %+v", other)
+	}
 	req.M = 3
 	if _, other := postAdmit(t, hs.Client(), hs.URL, req); other.Cached {
 		t.Errorf("m=3 hit the m=4 cache entry")
 	}
 }
 
+// TestVerdictCacheReversedRequest: a reversed request, IDs renumbered by
+// position, asks for another assignment. Served from the cache entry of
+// the original order, its cores would be infeasible; every answer must
+// be a cold analysis whose cores EDF-VD accepts in the request's own
+// order.
+func TestVerdictCacheReversedRequest(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	admitted := 0
+	for seed := int64(0); seed < 40; seed++ {
+		ts := genSet(t, 4, 2, 24, 0.7, seed)
+		_, orig := postAdmit(t, hs.Client(), hs.URL, &Request{TaskSet: ts, M: 4})
+		if !orig.Admitted {
+			continue
+		}
+		admitted++
+		n := ts.Len()
+		rev := mc.NewTaskSetCap(n)
+		for i := range ts.Tasks {
+			task := ts.Tasks[n-1-i]
+			task.ID = i + 1
+			rev.Tasks = append(rev.Tasks, task)
+		}
+		_, resp := postAdmit(t, hs.Client(), hs.URL, &Request{TaskSet: rev, M: 4})
+		if resp.Cached {
+			t.Errorf("seed %d: the reversed request was served from the cache", seed)
+		}
+		if !resp.Admitted {
+			t.Errorf("seed %d: the reversed request was rejected: %+v", seed, resp)
+			continue
+		}
+		cores := make([]*mc.UtilMatrix, 4)
+		for c := range cores {
+			cores[c] = mc.NewUtilMatrix(2)
+		}
+		for ti, c := range resp.Verdicts[0].Assignment {
+			cores[c].Add(&rev.Tasks[ti])
+		}
+		for c, m := range cores {
+			if !edfvd.Feasible(m) {
+				t.Errorf("seed %d: the reversed request's core %d is EDF-VD-infeasible", seed, c)
+			}
+		}
+	}
+	if admitted < 30 {
+		t.Fatalf("only %d of 40 sets admitted; the test needs most of them", admitted)
+	}
+}
+
+// TestVerdictCachePermutation: permuting a request with its task IDs
+// attached permutes the answer, on both backends, whether the daemon
+// analyzes the permuted request cold or serves its repeat from the
+// cache.
+func TestVerdictCachePermutation(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	names := make([]string, len(partition.Schemes))
+	for i, scheme := range partition.Schemes {
+		names[i] = scheme.String()
+	}
+	cases := []struct {
+		backend string
+		k       int
+	}{{"edfvd", 2}, {"edfvd", 3}, {"edfvd", 4}, {"amcrtb", 2}}
+	for _, tc := range cases {
+		admitted := 0
+		for seed := int64(0); seed < 8; seed++ {
+			ts := genSet(t, 4, tc.k, 24, 0.55, seed)
+			req := &Request{TaskSet: ts, M: 4, K: tc.k, Backend: tc.backend, Schemes: names}
+			_, orig := postAdmit(t, hs.Client(), hs.URL, req)
+			if orig.Cached || orig.Error != "" {
+				t.Fatalf("%s K=%d seed %d: original %+v", tc.backend, tc.k, seed, orig)
+			}
+			if orig.Admitted {
+				admitted++
+			}
+			perm := rand.New(rand.NewSource(seed)).Perm(ts.Len())
+			shuffled := mc.NewTaskSetCap(ts.Len())
+			for _, j := range perm {
+				shuffled.Tasks = append(shuffled.Tasks, ts.Tasks[j])
+			}
+			want := permuted(orig, perm)
+			preq := *req
+			preq.TaskSet = shuffled
+			for _, cached := range []bool{false, true} {
+				_, got := postAdmit(t, hs.Client(), hs.URL, &preq)
+				if got.Cached != cached || !reflect.DeepEqual(got.Verdicts, want.Verdicts) ||
+					got.Admitted != want.Admitted || got.Verdict != want.Verdict {
+					t.Errorf("%s K=%d seed %d (cached %v): permuted request answered %+v\nwant %+v",
+						tc.backend, tc.k, seed, cached, got, want)
+				}
+			}
+		}
+		t.Logf("%s K=%d: %d of 8 sets admitted", tc.backend, tc.k, admitted)
+		if admitted == 0 {
+			t.Errorf("%s K=%d: no set admitted; the test must compare assignments", tc.backend, tc.k)
+		}
+	}
+}
+
+// permuted returns resp's answer for the request whose task i is the
+// original's task perm[i].
+func permuted(resp *Response, perm []int) *Response {
+	out := *resp
+	out.Verdicts = slices.Clone(resp.Verdicts)
+	for i, v := range out.Verdicts {
+		if v.Assignment == nil {
+			continue
+		}
+		a := make([]int, len(perm))
+		for ti, j := range perm {
+			a[ti] = v.Assignment[j]
+		}
+		out.Verdicts[i].Assignment = a
+	}
+	return &out
+}
+
+// TestVerdictCacheNearDuplicateMisses: a WCET 1e-12 away is another
+// question, however small the difference; it must not share the cache
+// entry of the original.
+func TestVerdictCacheNearDuplicateMisses(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	ts := feasibleSet(t)
+	if _, resp := postAdmit(t, hs.Client(), hs.URL, &Request{TaskSet: ts, M: 4}); resp.Cached {
+		t.Fatalf("first request served from an empty cache")
+	}
+	w := ts.Tasks[0].WCET
+	w[len(w)-1] += 1e-12
+	if _, resp := postAdmit(t, hs.Client(), hs.URL, &Request{TaskSet: ts, M: 4}); resp.Cached {
+		t.Errorf("a WCET 1e-12 larger hit the original's cache entry")
+	}
+}
+
+// TestVerdictCacheConcurrentHits: concurrent requests for the same few
+// bodies put and hit the cache at once, and every answer, cached or
+// not, is the direct analysis of its own request.
+func TestVerdictCacheConcurrentHits(t *testing.T) {
+	s, hs := newTestServer(t, Config{Metrics: obs.NewRegistry()})
+	reqs := []*Request{{TaskSet: feasibleSet(t), M: 4}, {TaskSet: overloadedSet(t), M: 4}, {TaskSet: feasibleSet(t), M: 3}}
+	bodies := make([][]byte, len(reqs))
+	wants := make([]*Response, len(reqs))
+	for i, req := range reqs {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+		wants[i] = directResponse(t, req.TaskSet, req.M, 2, "edfvd", []string{"CA-TPA"})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				k := (g + i) % len(reqs)
+				hr, err := hs.Client().Post(hs.URL+"/v1/admit", "application/json", bytes.NewReader(bodies[k]))
+				if err != nil {
+					t.Errorf("POST: %v", err)
+					return
+				}
+				var got Response
+				err = json.NewDecoder(hr.Body).Decode(&got)
+				hr.Body.Close()
+				want := wants[k]
+				if err != nil || got.Admitted != want.Admitted || got.Verdict != want.Verdict ||
+					got.Reason != want.Reason || !reflect.DeepEqual(got.Verdicts, want.Verdicts) {
+					t.Errorf("request %d (cached %v): got %+v (%v), want %+v", k, got.Cached, got, err, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.met.cached.Value() == 0 {
+		t.Errorf("no request was served from the cache")
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	c := newVerdictCache(2)
-	k := func(i int) cacheKey {
-		return cacheKey{hash: uint64(i), m: 4, k: 2, backend: "edfvd", schemes: "CA-TPA"}
-	}
+	k := func(i int) cacheKey { return sha256.Sum256([]byte(strconv.Itoa(i))) }
 	for i := 0; i < 3; i++ {
 		c.put(k(i), &Response{Verdict: VerdictAdmitted})
 	}
@@ -306,12 +494,12 @@ func TestCacheEviction(t *testing.T) {
 	if got := c.get(k(2)); got == nil || got.Verdict != VerdictRejected {
 		t.Errorf("overwrite lost: %+v", got)
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if len(c.m) != 2 || len(c.order) != 2 {
+		t.Errorf("%d entries in the map and %d in the ring, want 2 and 2", len(c.m), len(c.order))
 	}
 	var nilCache *verdictCache
 	nilCache.put(k(9), &Response{})
-	if nilCache.get(k(9)) != nil || nilCache.len() != 0 {
+	if nilCache.get(k(9)) != nil {
 		t.Errorf("nil cache must be inert")
 	}
 }

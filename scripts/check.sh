@@ -62,11 +62,11 @@ go test -count=1 \
 
 # The admission daemon's chaos suite by name and under the race
 # detector: panic quarantine at every injection point, slow-backend
-# partial verdicts, stalls past the grace window, and the concurrent
-# mixed-fault storm. The daemon must keep serving correct verdicts
+# partial verdicts, stalls past the grace window, the concurrent
+# mixed-fault storm, and verdict-cache hits and puts. The daemon must keep serving correct verdicts
 # while faults fire; any wedge, lost verdict or race fails the gate.
 step "serve-chaos suite (race)"
-go test -race -count=1 -run 'Chaos|GracefulDrain|QueueFullSheds|DegradedMode' \
+go test -race -count=1 -run 'Chaos|GracefulDrain|QueueFullSheds|DegradedMode|VerdictCache|CacheEviction' \
     ./internal/serve/...
 
 # The static-analysis suite by name: the pass fixtures (seeded
