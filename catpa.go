@@ -29,10 +29,12 @@
 //	    fmt.Println(res) // per-core subsets, utilizations, lambdas
 //	}
 //
-// See the examples directory for complete programs.
+// See example_test.go for complete programs.
 package catpa
 
 import (
+	"fmt"
+
 	"catpa/internal/edfvd"
 	"catpa/internal/experiments"
 	"catpa/internal/fpamc"
@@ -126,7 +128,19 @@ func FPPriorities(tasks []Task) []int { return fpamc.Priorities(tasks) }
 // analysis backend. All five heuristics are supported, including
 // CA-TPA.
 func FPPartition(ts *TaskSet, m int, scheme Scheme) (*PartitionResult, error) {
-	return fpamc.Partition(ts, m, scheme)
+	if maxCrit := ts.MaxCrit(); maxCrit > 2 {
+		return nil, fmt.Errorf("fpamc: task set has criticality %d; AMC-rtb partitioning is dual-criticality", maxCrit)
+	}
+	if m < 1 {
+		return nil, fmt.Errorf("fpamc: invalid core count %d", m)
+	}
+	switch scheme {
+	case partition.WFD, partition.FFD, partition.BFD, partition.Hybrid, partition.CATPA:
+	default:
+		return nil, fmt.Errorf("fpamc: unsupported scheme %v", scheme)
+	}
+	be, _ := partition.NewBackend(fpamc.BackendName) // a known name: cannot fail
+	return partition.NewWithBackend(m, 2, be).Run(ts, scheme, nil), nil
 }
 
 // FPMultiAnalysis is the K-level generalization of the AMC-rtb
@@ -202,7 +216,7 @@ type (
 // for concurrent use.
 func NewPartitioner(m, k int) *Partitioner { return partition.New(m, k) }
 
-// Pluggable per-core analysis backends (internal/partition).
+// Per-core analysis backends (internal/partition).
 type (
 	// AnalysisBackend answers the allocator's per-core schedulability
 	// questions; the EDF-VD Theorem-1 analysis ("edfvd") and the
@@ -210,13 +224,13 @@ type (
 	AnalysisBackend = partition.Backend
 )
 
-// DefaultBackend is the registry name of the EDF-VD Theorem-1 backend.
+// DefaultBackend is the name of the EDF-VD Theorem-1 backend.
 const DefaultBackend = partition.DefaultBackend
 
-// FPBackendName is the registry name of the AMC-rtb backend.
+// FPBackendName is the name of the AMC-rtb backend.
 const FPBackendName = fpamc.BackendName
 
-// BackendNames returns the names of all registered analysis backends.
+// BackendNames returns the names of the two analysis backends, sorted.
 func BackendNames() []string { return partition.BackendNames() }
 
 // NewAnalysisBackend returns a fresh instance of the named backend.

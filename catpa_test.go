@@ -122,6 +122,29 @@ func TestFacadeFP(t *testing.T) {
 	}
 }
 
+// TestFPPartitionRejectsBadInput: FPPartition refuses a set above
+// dual criticality, a core count below one and an unknown scheme, each
+// with its own error.
+func TestFPPartitionRejectsBadInput(t *testing.T) {
+	tri := catpa.NewTaskSet(catpa.Task{ID: 1, Period: 10, Crit: 3, WCET: []float64{1, 2, 3}})
+	dual := catpa.NewTaskSet(catpa.Task{ID: 1, Period: 10, Crit: 1, WCET: []float64{1}})
+	cases := []struct {
+		ts     *catpa.TaskSet
+		m      int
+		scheme catpa.Scheme
+		want   string
+	}{
+		{tri, 2, catpa.FFD, "fpamc: task set has criticality 3; AMC-rtb partitioning is dual-criticality"},
+		{dual, 0, catpa.FFD, "fpamc: invalid core count 0"},
+		{dual, 2, catpa.Scheme(99), "fpamc: unsupported scheme Scheme(99)"},
+	}
+	for _, c := range cases {
+		if r, err := catpa.FPPartition(c.ts, c.m, c.scheme); err == nil || err.Error() != c.want {
+			t.Errorf("FPPartition(m=%d, %v) = %v, %v; want error %q", c.m, c.scheme, r, err, c.want)
+		}
+	}
+}
+
 func TestFacadeClassicDual(t *testing.T) {
 	m := catpa.NewUtilMatrix(2)
 	tk := catpa.Task{ID: 1, Period: 10, Crit: 2, WCET: []float64{2, 9}}

@@ -15,16 +15,18 @@
 //
 //	//lint:ignore mclint/<pass> <reason>
 //
-// Cross-package facts — //mc:allocfree annotations on callees, backend
-// registration sites, the determinism call graph — are only complete
-// over the whole module, so analysis always runs over every package;
+// Cross-package facts — //mc:allocfree annotations on callees, the
+// partition.Backend interface, the determinism call graph — are only
+// complete over the whole module, so analysis always runs over every package;
 // the CLI patterns select which packages' findings are printed.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,30 +35,42 @@ import (
 )
 
 func main() {
-	pass := flag.String("pass", "", "comma-separated pass names to run exclusively (default: all)")
-	disable := flag.String("disable", "", "comma-separated pass names to disable")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	list := flag.Bool("list", false, "list the available passes and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: mclint [-pass=pass,...] [-disable=pass,...] [-json] [-list] [packages]\n\npackages default to ./...\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	os.Exit(run(*pass, *disable, *jsonOut, *list, flag.Args()))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(pass, disable string, jsonOut, list bool, patterns []string) int {
+// run is the testable entry point: it returns the process exit code,
+// 0 when clean (or -h), 1 on findings and 2 on usage or load errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mclint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		pass    = fs.String("pass", "", "comma-separated pass names to run exclusively (default: all)")
+		disable = fs.String("disable", "", "comma-separated pass names to disable")
+		jsonOut = fs.Bool("json", false, "emit findings as a JSON array on stdout")
+		list    = fs.Bool("list", false, "list the available passes and exit")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: mclint [-pass=pass,...] [-disable=pass,...] [-json] [-list] [packages]\n\npackages default to ./...\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	patterns := fs.Args()
+
 	loader, err := lint.NewLoader(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mclint:", err)
+		fmt.Fprintln(stderr, "mclint:", err)
 		return 2
 	}
 	passes := lint.DefaultPasses(loader.ModulePath)
 
-	if list {
+	if *list {
 		for _, a := range passes {
-			fmt.Printf("%-14s %s\n", a.Name(), a.Doc())
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name(), a.Doc())
 		}
 		return 0
 	}
@@ -70,7 +84,7 @@ func run(pass, disable string, jsonOut, list bool, patterns []string) int {
 		for _, name := range strings.Split(csv, ",") {
 			if name = strings.TrimSpace(name); name != "" {
 				if !known[name] {
-					fmt.Fprintf(os.Stderr, "mclint: unknown pass %q in -%s (try -list)\n", name, flagName)
+					fmt.Fprintf(stderr, "mclint: unknown pass %q in -%s (try -list)\n", name, flagName)
 					return nil, false
 				}
 				set[name] = true
@@ -78,11 +92,11 @@ func run(pass, disable string, jsonOut, list bool, patterns []string) int {
 		}
 		return set, true
 	}
-	only, ok := nameSet("pass", pass)
+	only, ok := nameSet("pass", *pass)
 	if !ok {
 		return 2
 	}
-	disabled, ok := nameSet("disable", disable)
+	disabled, ok := nameSet("disable", *disable)
 	if !ok {
 		return 2
 	}
@@ -97,23 +111,23 @@ func run(pass, disable string, jsonOut, list bool, patterns []string) int {
 		enabled = append(enabled, a)
 	}
 	if len(enabled) == 0 {
-		fmt.Fprintln(os.Stderr, "mclint: the -pass/-disable combination enables no passes")
+		fmt.Fprintln(stderr, "mclint: the -pass/-disable combination enables no passes")
 		return 2
 	}
 
 	pkgs, err := loader.Load()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mclint:", err)
+		fmt.Fprintln(stderr, "mclint:", err)
 		return 2
 	}
 	selected, err := selectPackages(pkgs, patterns, loader.ModulePath, loader.ModuleRoot)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mclint:", err)
+		fmt.Fprintln(stderr, "mclint:", err)
 		return 2
 	}
 	if len(selected) == 0 {
 		// A typo'd pattern silently passing would defeat the gate.
-		fmt.Fprintf(os.Stderr, "mclint: no packages match %s\n", strings.Join(patterns, " "))
+		fmt.Fprintf(stderr, "mclint: no packages match %s\n", strings.Join(patterns, " "))
 		return 2
 	}
 
@@ -135,7 +149,7 @@ func run(pass, disable string, jsonOut, list bool, patterns []string) int {
 		}
 		return name
 	}
-	if jsonOut {
+	if *jsonOut {
 		type jsonFinding struct {
 			Pass    string `json:"pass"`
 			Package string `json:"package"`
@@ -155,20 +169,20 @@ func run(pass, disable string, jsonOut, list bool, patterns []string) int {
 				Message: f.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "mclint:", err)
+			fmt.Fprintln(stderr, "mclint:", err)
 			return 2
 		}
 	} else {
 		for _, f := range findings {
 			pos := f.Pos
 			pos.Filename = relativize(pos.Filename)
-			fmt.Printf("%s: %s [mclint/%s]\n", pos, f.Message, f.Pass)
+			fmt.Fprintf(stdout, "%s: %s [mclint/%s]\n", pos, f.Message, f.Pass)
 		}
 		if len(findings) > 0 {
-			fmt.Printf("mclint: %d finding(s) in %d package(s)\n", len(findings), len(selected))
+			fmt.Fprintf(stdout, "mclint: %d finding(s) in %d package(s)\n", len(findings), len(selected))
 		}
 	}
 	if len(findings) > 0 {

@@ -320,28 +320,6 @@ func lambdas(d []float64, k int, lambda []float64, ok []bool) {
 	}
 }
 
-// VDFactor returns the relative-deadline scaling factor applied to a
-// task of criticality crit while its core operates at mode level mode:
-// the cumulative product prod_{x=mode+1}^{crit} lambda_x. Tasks at or
-// below the current mode (crit <= mode) run with their full deadlines
-// (factor 1); in AMC they are dropped anyway once mode exceeds their
-// level.
-//
-// For dual-criticality systems at mode 1 this reduces to the classical
-// EDF-VD factor x = U_2(1)/(1 - U_1(1)).
-//
-//mc:allocfree cumulative product
-func VDFactor(lambda []float64, mode, crit int) float64 {
-	if crit <= mode {
-		return 1
-	}
-	f := 1.0
-	for x := mode + 1; x <= crit; x++ {
-		f *= lambda[x-1]
-	}
-	return f
-}
-
 //
 //mc:allocfree amortized: reallocates only on growth
 func resize(s []float64, n int) []float64 {

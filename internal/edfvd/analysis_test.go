@@ -147,26 +147,6 @@ func TestDualLambdaIsClassicFactor(t *testing.T) {
 	if !ok[1] || !almost(lambda[1], want) {
 		t.Errorf("lambda_2 = %v ok=%v, want %v", lambda[1], ok[1], want)
 	}
-	// VDFactor at mode 1 for a HI task is lambda_2; at mode 2 it is 1.
-	if f := VDFactor(lambda, 1, 2); !almost(f, want) {
-		t.Errorf("VDFactor(1,2) = %v, want %v", f, want)
-	}
-	if f := VDFactor(lambda, 2, 2); f != 1 {
-		t.Errorf("VDFactor(2,2) = %v, want 1", f)
-	}
-	if f := VDFactor(lambda, 1, 1); f != 1 {
-		t.Errorf("VDFactor(1,1) = %v, want 1 (task at or below mode)", f)
-	}
-}
-
-func TestVDFactorCumulative(t *testing.T) {
-	lambda := []float64{0, 0.5, 0.4}
-	if f := VDFactor(lambda, 1, 3); !almost(f, 0.2) {
-		t.Errorf("VDFactor(1,3) = %v, want 0.2", f)
-	}
-	if f := VDFactor(lambda, 2, 3); !almost(f, 0.4) {
-		t.Errorf("VDFactor(2,3) = %v, want 0.4", f)
-	}
 }
 
 func TestDualFeasibleBeyondEq4(t *testing.T) {

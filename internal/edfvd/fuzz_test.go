@@ -168,17 +168,6 @@ func checkReportInvariants(t *testing.T, m *mc.UtilMatrix, r *Report) {
 		t.Fatalf("CoreUtilWorst = %v inconsistent with CoreUtil = %v",
 			r.CoreUtilWorst, r.CoreUtil)
 	}
-
-	// Virtual-deadline factors derived from the validated lambdas stay
-	// inside [0, 1] for every (mode, crit) pair the factors cover.
-	for crit := 1; crit <= r.FeasibleK; crit++ {
-		for mode := 1; mode <= crit; mode++ {
-			f := VDFactor(r.Lambda, mode, crit)
-			if math.IsNaN(f) || f < 0 || f > 1 {
-				t.Fatalf("VDFactor(mode=%d, crit=%d) = %v outside [0, 1]", mode, crit, f)
-			}
-		}
-	}
 }
 
 // reportsEqual compares two reports bit-for-bit (NaN-aware), proving

@@ -290,8 +290,8 @@ func (p *pool) worker() {
 
 // armWorker ensures the worker owns one correctly-dimensioned
 // Partitioner per backend group of the job, creating missing ones and
-// re-dimensioning survivors. RunContext validates every backend
-// against the registry upfront, so the lookup cannot fail here.
+// re-dimensioning survivors. RunContext validates every backend name
+// upfront, so the lookup cannot fail here.
 func armWorker(parts map[string]*partition.Partitioner, jb *job) {
 	for _, g := range jb.groups {
 		if part, ok := parts[g.backend]; ok {
@@ -442,8 +442,8 @@ func (s *Sweep) RunContext(ctx context.Context, cfg *RunConfig) (*Result, error)
 	return res, nil
 }
 
-// validateVariants checks every variant's backend against the
-// registry and every sweep point's K against the backend's level
+// validateVariants checks every variant's backend name and every
+// sweep point's K against the backend's level
 // bound, so misconfiguration surfaces as one error before any worker
 // runs (a K overflow inside the pool would crash the process, not
 // quarantine).

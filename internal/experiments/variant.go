@@ -49,9 +49,9 @@ func (v Variant) Label() string {
 }
 
 // ParseVariant parses the String form: a scheme name, optionally
-// followed by "@backend". The backend must be registered; RunContext
-// re-validates against the registry and additionally checks each
-// point's criticality-level count against the backend's MaxLevels.
+// followed by "@backend". The backend must be one NewBackend knows;
+// RunContext re-validates it and additionally checks each point's
+// criticality-level count against the backend's MaxLevels.
 func ParseVariant(name string) (Variant, error) {
 	schemeName, backend, found := strings.Cut(name, "@")
 	s, err := partition.ParseScheme(schemeName)
@@ -59,9 +59,6 @@ func ParseVariant(name string) (Variant, error) {
 		return Variant{}, fmt.Errorf("experiments: bad variant %q: %v", name, err)
 	}
 	if found {
-		if !partition.ValidBackendName(backend) {
-			return Variant{}, fmt.Errorf("experiments: bad variant %q: invalid backend name %q", name, backend)
-		}
 		if _, err := partition.NewBackend(backend); err != nil {
 			return Variant{}, fmt.Errorf("experiments: bad variant %q: %v", name, err)
 		}

@@ -457,3 +457,34 @@ func TestDeltaScreenBoundary(t *testing.T) {
 		})
 	}
 }
+
+// TestBackendSchedulableEmpty pins the empty-core boundary: Schedulable
+// accepts the empty subset, a fresh core carries no load, and a probe
+// onto an empty core is exactly Schedulable of the lone task, on both
+// sides of the verdict.
+func TestBackendSchedulableEmpty(t *testing.T) {
+	if !Schedulable(nil) {
+		t.Error("Schedulable(nil) = false")
+	}
+	ts := dualSet(rand.New(rand.NewSource(99)), 8, 0.9, 1)
+	// A HI task whose level-2 budget exceeds its period fails alone.
+	ts.Tasks = append(ts.Tasks, mc.Task{ID: 9, Period: 10, Crit: 2, WCET: []float64{5, 12}})
+	b := &Backend{}
+	b.Reset(1, 2)
+	b.Prepare(ts)
+	b.Begin()
+	if load := b.OwnLoad(0); load != 0 {
+		t.Fatalf("fresh core carries load %v", load)
+	}
+	rejected := false
+	for ti := range ts.Tasks {
+		got, want := b.FeasibleWith(0, ti), Schedulable(ts.Tasks[ti:ti+1])
+		if got != want {
+			t.Fatalf("task %d on an empty core: FeasibleWith %v, Schedulable %v", ti, got, want)
+		}
+		rejected = rejected || !got
+	}
+	if !rejected {
+		t.Fatal("no lone task was rejected; the fixture lost its infeasible case")
+	}
+}

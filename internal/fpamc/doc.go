@@ -17,10 +17,12 @@
 //     response time, plus HI-mode interference from high-criticality
 //     tasks throughout.
 //
-// It also provides partitioned fixed-priority allocation using the
-// same FFD/WFD/BFD shells as the EDF-VD path, enabling the
-// EDF-VD-vs-FP acceptance comparison of the root package's
-// Example_fpcompare and the corresponding benchmarks.
+// It also keeps that analysis incrementally per core (Backend), which
+// internal/partition adapts as its "amcrtb" allocator backend. The
+// package holds analyses only; partitioned fixed-priority allocation
+// is the allocator of internal/partition running atop that backend
+// (catpa.FPPartition, compared against EDF-VD in the root package's
+// Example_fpcompare).
 //
 // Correctness is cross-validated two ways (see the tests): hand-worked
 // fixed points, and execution of accepted task sets in the runtime

@@ -5,27 +5,24 @@ import (
 	"math"
 
 	"catpa/internal/mc"
-	"catpa/internal/partition"
 )
 
-// BackendName is the registry name of the AMC-rtb analysis backend.
+// BackendName is the name under which internal/partition offers the
+// AMC-rtb analysis as an allocator backend.
 const BackendName = "amcrtb"
 
-func init() {
-	partition.RegisterBackend(BackendName, func() partition.Backend { return &Backend{} })
-}
-
-// Backend adapts the AMC-rtb response-time analysis to the allocator's
-// per-core schedulability protocol, so every heuristic — including
-// CA-TPA, which the old fixed-priority shells never supported — runs
-// atop partitioned fixed-priority AMC through the one allocation shell
-// in internal/partition.
+// Backend is the AMC-rtb response-time analysis in the allocator's
+// per-core schedulability protocol: it holds every partition.Backend
+// method except Name, MaxLevels and ReportInto, which the "amcrtb"
+// adapter in internal/partition adds. Through it every heuristic —
+// including CA-TPA, which the old fixed-priority shells never
+// supported — runs atop partitioned fixed-priority AMC through the one
+// allocation shell in internal/partition.
 //
 // A response-time analysis has no single utilization figure, so the
 // core-utilization metric this backend reports (ProbeUtil, CoreUtil,
 // reflected into CoreInfo.Util) is the Eq. 4 own-level load
-// sum MaxUtil — exactly what the deleted fpamc.Partition shells
-// reported. That makes the probe increment core-independent (always
+// sum MaxUtil — exactly what the old fixed-priority shells reported. That makes the probe increment core-independent (always
 // the candidate's MaxUtil), so CA-TPA's minimum-increment search
 // degenerates to first-feasible under its contribution ordering; the
 // ordering itself and the imbalance fallback remain active (see
@@ -136,17 +133,7 @@ type Backend struct {
 	prio []int
 }
 
-// Name implements partition.Backend.
-//
-//mc:allocfree constant
-func (b *Backend) Name() string { return BackendName }
-
-// MaxLevels implements partition.Backend: AMC is dual-criticality.
-//
-//mc:allocfree constant
-func (b *Backend) MaxLevels() int { return 2 }
-
-// Reset implements partition.Backend.
+// Reset is partition.Backend's Reset.
 func (b *Backend) Reset(m, k int) {
 	b.m = m
 	if cap(b.cores) < m {
@@ -193,7 +180,7 @@ func (b *Backend) Reset(m, k int) {
 	b.pOK = false
 }
 
-// Prepare implements partition.Backend. It packs the per-task
+// Prepare is partition.Backend's Prepare. It packs the per-task
 // parameters, then decides whether warm-started fixed points are
 // bitwise safe (see the type comment): every non-final iteration of a
 // demand recursion grows the demand by at least one whole level-1
@@ -241,7 +228,7 @@ func (b *Backend) Prepare(ts *mc.TaskSet) {
 	b.screen = 1 + 4*Eps/minC + 4*float64(3*n+8)*0x1p-53
 }
 
-// Begin implements partition.Backend.
+// Begin is partition.Backend's Begin.
 //
 //mc:allocfree truncates per-core state in place
 func (b *Backend) Begin() {
@@ -493,7 +480,7 @@ func (b *Backend) commit(c, ti int) {
 	b.pOK = false
 }
 
-// FeasibleWith implements partition.Backend: it reports whether core
+// FeasibleWith is partition.Backend's FeasibleWith: it reports whether core
 // c's subset plus task ti passes the AMC-rtb response-time test
 // (Eqs. rtb-LO/rtb-HI), the fixed-priority counterpart of the
 // Theorem-1 screens — answered incrementally from the cached committed
@@ -504,7 +491,7 @@ func (b *Backend) FeasibleWith(c, ti int) bool {
 	return b.probe(c, ti)
 }
 
-// ProbeUtil implements partition.Backend: the own-level load of core c
+// ProbeUtil is partition.Backend's ProbeUtil: the own-level load of core c
 // with task ti added, +Inf when the extended subset fails AMC-rtb.
 // The worst flag is ignored — the load metric has only one reading.
 // The load sum is exact whenever the probe is feasible, so it is its
@@ -522,7 +509,7 @@ func (b *Backend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64
 	return load
 }
 
-// Place implements partition.Backend. A placement that matches the
+// Place is partition.Backend's Place. A placement that matches the
 // live probe scratch commits that analysis directly — the delta the
 // pick scan already paid for; any other placement re-probes first.
 // Forcing an infeasible task onto a core records it and schedules the
@@ -542,7 +529,7 @@ func (b *Backend) Place(c, ti int) {
 	b.pOK = false
 }
 
-// Remove implements partition.Backend. Removal shrinks the demand sums
+// Remove is partition.Backend's Remove. Removal shrinks the demand sums
 // of the removed task's lower-priority members only, so on a clean,
 // schedulable core it deletes the member's entry, closes the rank gap,
 // and marks the core so the next query recomputes cold just the
@@ -584,7 +571,7 @@ func (b *Backend) Remove(c, ti int) {
 	panic(fmt.Sprintf("fpamc: Remove(%d, %d): task not committed on core", c, ti))
 }
 
-// Reanalyze implements partition.Backend: it discards core c's cached
+// Reanalyze is partition.Backend's Reanalyze: it discards core c's cached
 // ranks and responses and rebuilds them cold from the committed
 // members, unconditionally.
 //
@@ -595,7 +582,7 @@ func (b *Backend) Reanalyze(c int) {
 	b.ensure(c)
 }
 
-// OwnLoad implements partition.Backend.
+// OwnLoad is partition.Backend's OwnLoad.
 //
 //mc:allocfree accessor behind the rebuild check
 func (b *Backend) OwnLoad(c int) float64 {
@@ -603,24 +590,13 @@ func (b *Backend) OwnLoad(c int) float64 {
 	return b.loads[c]
 }
 
-// CoreUtil implements partition.Backend; worst is ignored (one
+// CoreUtil is partition.Backend's CoreUtil; worst is ignored (one
 // reading, see ProbeUtil).
 //
 //mc:allocfree accessor behind the rebuild check
 func (b *Backend) CoreUtil(c int, worst bool) float64 {
 	b.ensure(c)
 	return b.loads[c]
-}
-
-// ReportInto implements partition.Backend. FeasibleK and Lambda are
-// EDF-VD notions with no AMC counterpart; they stay zero and empty.
-//
-//mc:allocfree fills the caller-owned CoreInfo in place
-func (b *Backend) ReportInto(c int, ci *partition.CoreInfo) {
-	b.ensure(c)
-	ci.Util = b.loads[c]
-	ci.FeasibleK = 0
-	ci.Lambda = ci.Lambda[:0]
 }
 
 // coreLo is the LO-mode demand recursion of task t over core c's
@@ -784,28 +760,4 @@ func resize[T any](s []T, n int) []T {
 func deleteAt[T any](s []T, i int) []T {
 	copy(s[i:], s[i+1:])
 	return s[:len(s)-1]
-}
-
-// Partition allocates a dual-criticality task set onto m cores under
-// partitioned fixed-priority AMC scheduling: the unified allocator of
-// internal/partition running atop the AMC-rtb backend. All five
-// schemes are supported, including CA-TPA (see Backend for how its
-// probe metric degenerates).
-//
-// The result reuses partition.Result; core utilizations are the Eq. 4
-// own-level loads (a response-time analysis has no single utilization
-// figure), so FeasibleK and Lambda are not populated.
-func Partition(ts *mc.TaskSet, m int, scheme partition.Scheme) (*partition.Result, error) {
-	if maxCrit := ts.MaxCrit(); maxCrit > 2 {
-		return nil, fmt.Errorf("fpamc: task set has criticality %d; AMC-rtb partitioning is dual-criticality", maxCrit)
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("fpamc: invalid core count %d", m)
-	}
-	switch scheme {
-	case partition.WFD, partition.FFD, partition.BFD, partition.Hybrid, partition.CATPA:
-	default:
-		return nil, fmt.Errorf("fpamc: unsupported scheme %v", scheme)
-	}
-	return partition.NewWithBackend(m, 2, &Backend{}).Run(ts, scheme, nil), nil
 }

@@ -15,7 +15,7 @@ import (
 // atomic.Int64 wrappers, which make mixing impossible by construction
 // — this pass guards the older address-based API in case it creeps in.
 //
-// Like backendreg, the pass is module-wide: the atomic-use index is
+// Like determinism, the pass is module-wide: the atomic-use index is
 // collected over every package (object identity makes a field marked
 // in one package recognizable in all others), then every plain use is
 // flagged in the Run phase.

@@ -11,8 +11,8 @@
 // A pass (Analyzer) sees one package at a time through a Pass value:
 // the parsed files, the go/types information, a Reporter, and the
 // module-wide Facts store. Passes that need cross-package knowledge —
-// a registration site in another package, an annotation on a callee,
-// the module call graph — implement Collector: every collector runs
+// the Backend interface declared in another package, an annotation on
+// a callee, the module call graph — implement Collector: every collector runs
 // over every package of the load before any pass reports a finding, so
 // facts are complete by the time Run executes. Object identity is
 // stable across packages (module-internal imports are type-checked
@@ -43,7 +43,7 @@
 //	             must take it as the first parameter, so cancellation
 //	             plumbing stays auditable.
 //	handlerctx – no context.Background or context.TODO anywhere in
-//	             internal/serve (the admission daemon and its client):
+//	             internal/serve (the admission daemon):
 //	             every context in a request path must descend from the
 //	             request, or work outlives deadlines and drains.
 //	obsname    – metric names passed to obs.Registry registration
@@ -51,9 +51,6 @@
 //	             satisfy obs.ValidName, and each full name may be
 //	             registered at only one call site per package (a second
 //	             site is a latent registration panic).
-//	backendreg – backend names passed to partition.RegisterBackend must
-//	             be constant lowercase identifiers, each registered at
-//	             exactly one call site module-wide.
 //
 // # Type-aware invariant passes (mclint v2)
 //
@@ -173,7 +170,6 @@ func DefaultPasses(modulePath string) []Analyzer {
 		}},
 		&HandlerCtx{Prefixes: []string{modulePath + "/internal/serve"}},
 		&ObsName{ObsPath: modulePath + "/internal/obs"},
-		&BackendReg{PartitionPath: modulePath + "/internal/partition"},
 		&AllocFree{},
 		&Determinism{},
 		&ScalarBoundary{PartitionPath: modulePath + "/internal/partition"},

@@ -248,15 +248,15 @@ func TestDefaultPasses(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"floateq", "globalrand", "rawtask", "panicmsg", "feasdoc", "ctxfirst", "handlerctx", "obsname", "backendreg",
+		"floateq", "globalrand", "rawtask", "panicmsg", "feasdoc", "ctxfirst", "handlerctx", "obsname",
 		"allocfree", "determinism", "scalarboundary", "atomicmix",
 	} {
 		if !names[want] {
 			t.Errorf("missing default pass %s", want)
 		}
 	}
-	if len(passes) != 13 {
-		t.Errorf("got %d default passes, want 13", len(passes))
+	if len(passes) != 12 {
+		t.Errorf("got %d default passes, want 12", len(passes))
 	}
 }
 

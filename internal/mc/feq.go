@@ -15,16 +15,6 @@ func ApproxEq(a, b float64) bool {
 	return a == b || math.Abs(a-b) <= Eps
 }
 
-// ApproxEqTol is ApproxEq with a caller-chosen absolute tolerance.
-func ApproxEqTol(a, b, tol float64) bool {
-	return a == b || math.Abs(a-b) <= tol
-}
-
-// ApproxZero reports whether a is within Eps of zero.
-func ApproxZero(a float64) bool {
-	return math.Abs(a) <= Eps
-}
-
 // SameFloat reports exact bit-level-meaningful equality: true when a
 // and b are numerically equal or both NaN. It exists for code (tests,
 // determinism checks) that deliberately needs exact comparison without

@@ -5,8 +5,6 @@ import (
 
 	"catpa/internal/partition"
 	"catpa/internal/taskgen"
-
-	_ "catpa/internal/fpamc" // registers the amcrtb backend
 )
 
 // TestHotPathAllocFree is the runtime twin of the //mc:allocfree

@@ -2,20 +2,20 @@ package partition
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
+	"catpa/internal/fpamc"
 	"catpa/internal/mc"
 )
 
 // Backend is the per-core schedulability oracle the allocator consults
 // — the seam of Algorithm 1, which treats "does the subset stay
 // schedulable" and "what does adding this task cost" as questions the
-// analysis answers, independent of the heuristic asking them. The
-// EDF-VD Theorem-1 analysis (the paper's setting) and the AMC-rtb
-// response-time analysis (internal/fpamc) both implement it, so every
-// heuristic — including CA-TPA — runs atop either through the one
-// allocation shell.
+// analysis answers, independent of the heuristic asking them. This
+// package adapts exactly two analyses to it, the EDF-VD Theorem-1
+// analysis (internal/edfvd, the paper's setting) and the AMC-rtb
+// response-time analysis (internal/fpamc), so every heuristic —
+// including CA-TPA — runs atop either through the one allocation
+// shell.
 //
 // The protocol mirrors the allocator's allocation-free discipline:
 // FeasibleWith and ProbeUtil are virtual (they must not mutate
@@ -52,7 +52,8 @@ import (
 // core's state was built incrementally, restored by an exact undo, or
 // rebuilt through Reanalyze.
 type Backend interface {
-	// Name returns the backend's registry name (e.g. "edfvd").
+	// Name returns the backend's name, as NewBackend takes it (e.g.
+	// "edfvd").
 	Name() string
 
 	// MaxLevels returns the largest supported criticality-level count,
@@ -135,76 +136,25 @@ type Backend interface {
 	ReportInto(c int, ci *CoreInfo)
 }
 
-// DefaultBackend is the registry name of the paper's EDF-VD Theorem-1
-// backend, the default of New and of every sweep.
+// DefaultBackend is the name of the paper's EDF-VD Theorem-1 backend,
+// the default of New and of every sweep.
 const DefaultBackend = "edfvd"
 
-// backendRegistry holds the registered backend factories. Registration
-// happens in package init functions; lookups happen at run time, so
-// the map is guarded for safety.
-var backendRegistry = struct {
-	sync.Mutex
-	factories map[string]func() Backend
-}{factories: make(map[string]func() Backend)}
-
-// ValidBackendName reports whether name satisfies the backend naming
-// contract enforced at registration (and statically by the mclint
-// backendreg rule, see DESIGN.md Section 11): a nonempty lowercase
-// ASCII identifier — letters and digits, starting with a letter.
-func ValidBackendName(name string) bool {
-	if len(name) == 0 || name[0] < 'a' || name[0] > 'z' {
-		return false
-	}
-	for i := 1; i < len(name); i++ {
-		ch := name[i]
-		if (ch < 'a' || ch > 'z') && (ch < '0' || ch > '9') {
-			return false
-		}
-	}
-	return true
-}
-
-// RegisterBackend registers a backend factory under name. It is meant
-// to be called from package init functions (the EDF-VD backend
-// registers here, the AMC-rtb backend in internal/fpamc); mclint's
-// backendreg rule additionally enforces at build time that names are
-// constant strings registered at exactly one site. RegisterBackend
-// panics on a malformed name, a nil factory or a duplicate
-// registration.
-func RegisterBackend(name string, factory func() Backend) {
-	if !ValidBackendName(name) {
-		panic(fmt.Sprintf("partition: invalid backend name %q", name))
-	}
-	if factory == nil {
-		panic(fmt.Sprintf("partition: backend %q registered with nil factory", name))
-	}
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	if _, dup := backendRegistry.factories[name]; dup {
-		panic(fmt.Sprintf("partition: backend %q registered twice", name))
-	}
-	backendRegistry.factories[name] = factory
-}
-
-// NewBackend returns a fresh instance of the named registered backend.
+// NewBackend returns a fresh instance of the named backend: the
+// EDF-VD Theorem-1 analysis (DefaultBackend) or the AMC-rtb
+// response-time analysis (fpamc.BackendName). The set is closed; a new
+// backend is one adapter file in this package plus one case here.
 func NewBackend(name string) (Backend, error) {
-	backendRegistry.Lock()
-	factory, ok := backendRegistry.factories[name]
-	backendRegistry.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("partition: unknown backend %q (registered: %v)", name, BackendNames())
+	switch name {
+	case DefaultBackend:
+		return &edfvdBackend{}, nil
+	case fpamc.BackendName:
+		return &amcrtbBackend{}, nil
 	}
-	return factory(), nil
+	return nil, fmt.Errorf("partition: unknown backend %q (registered: %v)", name, BackendNames())
 }
 
-// BackendNames returns the names of all registered backends, sorted.
+// BackendNames returns the names of the available backends, sorted.
 func BackendNames() []string {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	out := make([]string, 0, len(backendRegistry.factories))
-	for name := range backendRegistry.factories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return []string{fpamc.BackendName, DefaultBackend}
 }

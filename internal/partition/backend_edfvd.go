@@ -8,10 +8,6 @@ import (
 	"catpa/internal/mc"
 )
 
-func init() {
-	RegisterBackend(DefaultBackend, func() Backend { return &edfvdBackend{} })
-}
-
 // edfvdBackend is the paper's per-core analysis: the EDF-VD Theorem-1
 // test with virtual-deadline reduction factors (internal/edfvd), in
 // its incremental scalar form. Each core's analysis inputs live in an

@@ -3,7 +3,7 @@ package partition_test
 import (
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 	"testing"
 
 	"catpa/internal/edfvd"
@@ -12,84 +12,33 @@ import (
 	"catpa/internal/taskgen"
 )
 
-func TestValidBackendName(t *testing.T) {
-	cases := []struct {
-		name string
-		ok   bool
-	}{
-		{"edfvd", true},
-		{"amcrtb", true},
-		{"a", true},
-		{"a1b2", true},
-		{"", false},
-		{"Edfvd", false},
-		{"amc-rtb", false},
-		{"amc_rtb", false},
-		{"1abc", false},
-		{"amc rtb", false},
-	}
-	for _, c := range cases {
-		if got := partition.ValidBackendName(c.name); got != c.ok {
-			t.Errorf("ValidBackendName(%q) = %v, want %v", c.name, got, c.ok)
-		}
-	}
-}
-
+// TestBackendRegistry pins the closed backend set: exactly the two
+// names, a fresh instance per call, each backend's identity, and the
+// unknown-name error listing the set.
 func TestBackendRegistry(t *testing.T) {
-	names := partition.BackendNames()
-	has := func(want string) bool {
-		for _, n := range names {
-			if n == want {
-				return true
-			}
+	want := []string{fpamc.BackendName, partition.DefaultBackend}
+	if names := partition.BackendNames(); !slices.Equal(names, want) {
+		t.Fatalf("BackendNames() = %v, want %v", names, want)
+	}
+	for name, maxLevels := range map[string]int{partition.DefaultBackend: 0, fpamc.BackendName: 2} {
+		be, err := partition.NewBackend(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false
+		if be.Name() != name || be.MaxLevels() != maxLevels {
+			t.Errorf("%s backend: name %q maxLevels %d, want maxLevels %d", name, be.Name(), be.MaxLevels(), maxLevels)
+		}
+		if be2, _ := partition.NewBackend(name); be2 == be {
+			t.Errorf("NewBackend(%q) returned the same instance twice", name)
+		}
 	}
-	// The fpamc import links both registrations into this test binary.
-	if !has(partition.DefaultBackend) || !has(fpamc.BackendName) {
-		t.Fatalf("BackendNames() = %v, want both %q and %q", names, partition.DefaultBackend, fpamc.BackendName)
-	}
-
-	be, err := partition.NewBackend(partition.DefaultBackend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be.Name() != partition.DefaultBackend || be.MaxLevels() != 0 {
-		t.Errorf("edfvd backend: name %q maxLevels %d", be.Name(), be.MaxLevels())
-	}
-	fp, err := partition.NewBackend(fpamc.BackendName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp.Name() != fpamc.BackendName || fp.MaxLevels() != 2 {
-		t.Errorf("amcrtb backend: name %q maxLevels %d", fp.Name(), fp.MaxLevels())
-	}
-	// Factories return fresh instances, not shared state.
-	if fp2, _ := partition.NewBackend(fpamc.BackendName); fp2 == fp {
-		t.Error("NewBackend returned the same instance twice")
-	}
-
-	if _, err := partition.NewBackend("nosuchbackend"); err == nil {
+	_, err := partition.NewBackend("nosuchbackend")
+	if err == nil {
 		t.Fatal("NewBackend(nosuchbackend): no error")
-	} else if !strings.Contains(err.Error(), "registered:") {
-		t.Errorf("unknown-backend error should list the registry: %v", err)
 	}
-}
-
-func TestRegisterBackendPanics(t *testing.T) {
-	wantPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
+	if want := `partition: unknown backend "nosuchbackend" (registered: [amcrtb edfvd])`; err.Error() != want {
+		t.Errorf("unknown-backend error %q, want %q", err, want)
 	}
-	factory := func() partition.Backend { be, _ := partition.NewBackend(partition.DefaultBackend); return be }
-	wantPanic("invalid name", func() { partition.RegisterBackend("Bad Name", factory) })
-	wantPanic("nil factory", func() { partition.RegisterBackend("okname", nil) })
-	wantPanic("duplicate", func() { partition.RegisterBackend(partition.DefaultBackend, factory) })
 }
 
 func TestNewWithBackend(t *testing.T) {

@@ -7,8 +7,6 @@ import (
 	"catpa/internal/mc"
 	"catpa/internal/partition"
 	"catpa/internal/taskgen"
-
-	_ "catpa/internal/fpamc" // registers the amcrtb backend
 )
 
 // reanalyzingBackend wraps a Backend and forces the exact-recompute

@@ -66,8 +66,8 @@ func TestSimOracleAcceptsAreSafe(t *testing.T) {
 
 // TestSimOracleFPAcceptsAreSafe is the same differential proof for the
 // AMC-rtb backend: every dual-criticality task set a scheme accepts
-// through the unified allocator running atop fpamc.Backend (each core
-// passed the AMC-rtb response-time analysis) must survive execution
+// through the unified allocator running atop the amcrtb backend (each
+// core passed the AMC-rtb response-time analysis) must survive execution
 // under fixed-priority dispatching with the deadline-monotonic order
 // the analysis assumed — worst-case execution model, zero non-dropped
 // deadline misses on every core. This closes the loop the tentpole
@@ -84,7 +84,11 @@ func TestSimOracleFPAcceptsAreSafe(t *testing.T) {
 	cfg.K = 2
 	cfg.N = taskgen.IntRange{Lo: 16, Hi: 48}
 
-	part := partition.NewWithBackend(cfg.M, cfg.K, new(fpamc.Backend))
+	be, err := partition.NewBackend(fpamc.BackendName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := partition.NewWithBackend(cfg.M, cfg.K, be)
 	accepted, simulated := 0, 0
 	for _, nsu := range []float64{0.45, 0.6, 0.7} {
 		cfg.NSU = nsu
@@ -129,7 +133,11 @@ func TestSimOracleFPBoundaryCore(t *testing.T) {
 	cfg.K = 2
 	cfg.N = taskgen.IntRange{Lo: 4, Hi: 10}
 
-	part := partition.NewWithBackend(1, 2, new(fpamc.Backend))
+	be, err := partition.NewBackend(fpamc.BackendName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := partition.NewWithBackend(1, 2, be)
 	accepted := 0
 	for _, nsu := range []float64{0.5, 0.7, 0.85} {
 		cfg.NSU = nsu

@@ -113,6 +113,7 @@ type admitJob struct {
 	m, k        int
 	schemes     []partition.Scheme
 	backend     string
+	be          partition.Backend // fresh instance, adopted by a worker whose pool lacks backend
 	tag         string
 	hash        uint64
 	timeout     time.Duration // 0: server default
@@ -178,6 +179,7 @@ func normalize(req *Request, maxTasks, maxCores int) (*admitJob, error) {
 		k:           k,
 		schemes:     schemes,
 		backend:     backend,
+		be:          be,
 		tag:         strings.Clone(req.Tag), // echoed by cached responses, so it must not pin the body
 		hash:        mc.TaskSetHash(req.TaskSet),
 		timeout:     time.Duration(req.TimeoutMS) * time.Millisecond,

@@ -23,7 +23,7 @@ const (
 // Screen is the daemon's O(N·K) utilization screen, in the spirit of
 // the edfvd State's certified utilization floor and overload reject,
 // built only from conditions that are *necessary* for per-core
-// schedulability under every registered backend. It therefore only
+// schedulability under both analysis backends. It therefore only
 // ever rejects sets the full analysis would reject too, under every
 // scheme: the full path answers its rejects without running the
 // analysis, and the load-shedding tier can answer "rejected" soundly

@@ -71,7 +71,7 @@ func bandSet(n, crit int, c float64) *mc.TaskSet {
 // TestScreenSoundnessDifferential is the subset-property proof the
 // screen-first rejects and the degraded tier rest on: whenever the
 // probe-only screen certifies a reject, the full analysis — every
-// scheme crossed with every registered backend — must reject too. A
+// scheme crossed with both analysis backends — must reject too. A
 // single counterexample would mean the daemon refuses a set its full
 // analysis admits, which is the one lie it must never tell.
 func TestScreenSoundnessDifferential(t *testing.T) {

@@ -15,9 +15,6 @@ import (
 
 	"catpa/internal/obs"
 	"catpa/internal/partition"
-
-	// The daemon serves every registered analysis backend.
-	_ "catpa/internal/fpamc" // registers the amcrtb backend
 )
 
 // Config tunes the admission daemon. The zero value selects sane
@@ -526,12 +523,9 @@ func (s *Server) evaluate(ctx context.Context, pool map[string]*partition.Partit
 	}
 	p := pool[job.backend]
 	if p == nil {
-		be, err := partition.NewBackend(job.backend)
-		if err != nil {
-			resp.Error = fmt.Sprintf("backend %q vanished from the registry", job.backend)
-			return resp
-		}
-		p = partition.NewWithBackend(job.m, job.k, be)
+		// The pool lacks this backend: adopt the fresh instance
+		// normalize built for the job.
+		p = partition.NewWithBackend(job.m, job.k, job.be)
 		pool[job.backend] = p
 	} else {
 		p.Reset(job.m, job.k)

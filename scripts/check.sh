@@ -71,13 +71,13 @@ go test -race -count=1 -run 'Chaos|GracefulDrain|QueueFullSheds|DegradedMode|Ver
 
 # The static-analysis suite by name: the pass fixtures (seeded
 # violations caught on exact lines), the self-hosting real-tree-clean
-# gate, the runtime twin of the //mc:allocfree annotations, and the
+# gate, the mclint CLI's exit codes and -list output, the runtime twin of the //mc:allocfree annotations, and the
 # seed corpora of the AMC-rtb fuzz targets (every probe and every
 # heuristic's cores against the closure-based Schedulable oracle). The
 # `mclint` step above already fails on real findings; this one fails
 # when the analyzer itself regresses.
 step "mclint suite + alloc-free proof"
-go test -count=1 ./internal/lint
+go test -count=1 ./internal/lint ./cmd/mclint
 go test -count=1 -run 'HotPathAllocFree|SessionAllocFree|FuzzAMCProbeAgreement|FuzzBackendAgreement' ./internal/partition ./internal/fpamc
 
 # The incremental-vs-batch differential wall by name: the deterministic
