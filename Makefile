@@ -25,6 +25,7 @@ fuzz:
 	$(GO) test ./internal/fpamc -run='^$$' -fuzz='^FuzzBackendAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fpamc -run='^$$' -fuzz='^FuzzAMCProbeAgreement$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzIncrementalAgreement$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzBackendMetamorphic$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzAdmitDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/runner -run='^$$' -fuzz='^FuzzCheckpointLine$$' -fuzztime=$(FUZZTIME)
 

@@ -189,11 +189,13 @@ func BenchmarkSimulateCore(b *testing.B) {
 	}
 }
 
-// ablationBench measures the schedulability ratio of a CA-TPA variant
-// over the shared boundary population, reporting the delta against
-// full CA-TPA. One iteration = one partitioning run (cycled).
-func ablationBench(b *testing.B, opts *catpa.PartitionOptions) {
+// BenchmarkAblationNoImbalance measures the schedulability ratio of
+// CA-TPA without the workload-imbalance fallback (alpha = +Inf) over
+// the shared boundary population, reporting it against full CA-TPA.
+// One iteration = one partitioning run of each (cycled).
+func BenchmarkAblationNoImbalance(b *testing.B) {
 	sets := benchPopulation(200)
+	opts := &catpa.PartitionOptions{Alpha: math.Inf(1)}
 	full, variant := 0, 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -207,30 +209,6 @@ func ablationBench(b *testing.B, opts *catpa.PartitionOptions) {
 	}
 	b.ReportMetric(float64(variant)/float64(b.N), "variant_ratio")
 	b.ReportMetric(float64(full)/float64(b.N), "full_ratio")
-}
-
-// BenchmarkAblationOrdering replaces the utilization-contribution
-// ordering with the classical max-utilization ordering.
-func BenchmarkAblationOrdering(b *testing.B) {
-	ablationBench(b, &catpa.PartitionOptions{Order: catpa.MaxUtilOrder})
-}
-
-// BenchmarkAblationNoProbe replaces the minimum-increment probe with
-// first-feasible placement.
-func BenchmarkAblationNoProbe(b *testing.B) {
-	ablationBench(b, &catpa.PartitionOptions{NoProbe: true})
-}
-
-// BenchmarkAblationNoImbalance disables the workload-imbalance
-// fallback (alpha = +Inf).
-func BenchmarkAblationNoImbalance(b *testing.B) {
-	ablationBench(b, &catpa.PartitionOptions{Alpha: math.Inf(1)})
-}
-
-// BenchmarkAblationEq9Literal switches the Eq. 9 core-utilization
-// metric to the literal worst-condition reading (DESIGN.md section 3).
-func BenchmarkAblationEq9Literal(b *testing.B) {
-	ablationBench(b, &catpa.PartitionOptions{Eq9Literal: true})
 }
 
 // dualPopulation pre-generates a dual-criticality population for the

@@ -160,21 +160,12 @@ func FPMultiSchedulable(tasks []Task, k int) bool { return fpamc.MultiSchedulabl
 type (
 	// Scheme identifies a partitioning heuristic.
 	Scheme = partition.Scheme
-	// PartitionOptions tunes a heuristic run (alpha threshold, trace,
-	// ablation switches).
+	// PartitionOptions tunes a heuristic run (alpha threshold, trace).
 	PartitionOptions = partition.Options
 	// PartitionResult is the outcome of one partitioning run.
 	PartitionResult = partition.Result
 	// CoreInfo summarizes one core of a finished partition.
 	CoreInfo = partition.CoreInfo
-	// OrderPolicy selects the task ordering (ablation switch).
-	OrderPolicy = partition.OrderPolicy
-)
-
-// Task ordering policies for PartitionOptions.Order.
-const (
-	ContributionOrder = partition.ContributionOrder
-	MaxUtilOrder      = partition.MaxUtilOrder
 )
 
 // The five heuristics of the paper.

@@ -1,6 +1,7 @@
 package catpa_test
 
 import (
+	"strings"
 	"testing"
 
 	"catpa"
@@ -120,6 +121,96 @@ func TestFacadeFP(t *testing.T) {
 	if st.Missed != 0 {
 		t.Errorf("missed = %d", st.Missed)
 	}
+}
+
+// TestFPPartitionVerifies: Verify re-derives an AMC-rtb result with
+// the AMC-rtb analysis, so every feasible FPPartition result verifies
+// (re-analysis under EDF-VD rejects most of them), and moving one task
+// onto a core that AMC-rtb then rejects is caught even with the cores'
+// utilizations brought up to date. An empty backend name reads as
+// edfvd; an unknown one is an error.
+func TestFPPartitionVerifies(t *testing.T) {
+	cfg := catpa.DefaultGenConfig()
+	cfg.M, cfg.K = 4, 2
+	cfg.N = catpa.IntRange{Lo: 20, Hi: 60}
+	feasible, moved := 0, 0
+	for i := 0; i < 60; i++ {
+		cfg.NSU = 0.7 + 0.2*float64(i%10)/9
+		ts := catpa.GenerateTaskSet(&cfg, 3, i)
+		for _, s := range catpa.Schemes {
+			r, err := catpa.FPPartition(ts, cfg.M, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Feasible {
+				continue
+			}
+			feasible++
+			if r.Backend != catpa.FPBackendName {
+				t.Fatalf("set %d %v: Backend %q, want %q", i, s, r.Backend, catpa.FPBackendName)
+			}
+			if err := r.Verify(ts); err != nil {
+				t.Fatalf("set %d %v: feasible AMC-rtb result fails Verify: %v", i, s, err)
+			}
+			if moved < 20 && moveToUnschedulable(ts, r) {
+				moved++
+				if err := r.Verify(ts); err == nil || !strings.Contains(err.Error(), "infeasible under re-analysis") {
+					t.Fatalf("set %d %v: moved task onto an AMC-rtb-unschedulable core, Verify = %v", i, s, err)
+				}
+			}
+		}
+	}
+	if feasible == 0 || moved == 0 {
+		t.Fatalf("degenerate population: %d feasible results, %d moves", feasible, moved)
+	}
+
+	ts := catpa.GenerateTaskSet(&cfg, 3, 0)
+	r := catpa.Partition(ts, cfg.M, 2, catpa.CATPA, nil)
+	if r.Backend != catpa.DefaultBackend {
+		t.Fatalf("EDF-VD result Backend %q", r.Backend)
+	}
+	r.Backend = ""
+	if err := r.Verify(ts); r.Feasible && err != nil {
+		t.Fatalf("empty backend name not read as edfvd: %v", err)
+	}
+	r.Backend = "rms"
+	if err := r.Verify(ts); err == nil || err.Error() != `partition: unknown backend "rms"` {
+		t.Fatalf("unknown backend: Verify = %v", err)
+	}
+}
+
+// moveToUnschedulable moves the first task whose arrival makes another
+// core fail AMC-rtb onto that core, refreshes both cores' Util to
+// their own-level loads, and reports whether it found such a move.
+func moveToUnschedulable(ts *catpa.TaskSet, r *catpa.PartitionResult) bool {
+	subset := func(c int) []catpa.Task {
+		var out []catpa.Task
+		for i, a := range r.Assignment {
+			if a == c {
+				out = append(out, ts.Tasks[i])
+			}
+		}
+		return out
+	}
+	load := func(tasks []catpa.Task) float64 {
+		m := catpa.NewUtilMatrix(r.K)
+		for i := range tasks {
+			m.Add(&tasks[i])
+		}
+		return m.OwnLevelLoad()
+	}
+	for i, from := range r.Assignment {
+		for to := 0; to < r.M; to++ {
+			if to == from || catpa.FPSchedulable(append(subset(to), ts.Tasks[i])) {
+				continue
+			}
+			r.Assignment[i] = to
+			r.Cores[from].Util = load(subset(from))
+			r.Cores[to].Util = load(subset(to))
+			return true
+		}
+	}
+	return false
 }
 
 // TestFPPartitionRejectsBadInput: FPPartition refuses a set above

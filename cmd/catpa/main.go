@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,26 +29,49 @@ import (
 )
 
 func main() {
-	var (
-		in      = flag.String("in", "", "task-set JSON file (default stdin)")
-		m       = flag.Int("m", 8, "number of cores")
-		k       = flag.Int("k", 0, "criticality levels (default: max in set)")
-		scheme  = flag.String("scheme", "CA-TPA", "heuristic: WFD|FFD|BFD|Hybrid|CA-TPA")
-		alpha   = flag.Float64("alpha", 0.7, "imbalance threshold (CA-TPA)")
-		trace   = flag.Bool("trace", false, "print the allocation trace")
-		compare = flag.Bool("compare", false, "run all five schemes")
-		asJSON  = flag.Bool("json", false, "emit the result as JSON")
-		useFP   = flag.Bool("fp", false, "use partitioned fixed-priority AMC-rtb instead of EDF-VD (dual-criticality sets, all five schemes)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	ts, err := readSet(*in)
+// run is the testable entry point: it returns the process exit code —
+// 0 for a feasible partition (or a -compare table), 1 for bad flags or
+// input, 2 when the scheme finds no feasible partition.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("catpa", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		in      = fs.String("in", "", "task-set JSON file (default stdin)")
+		m       = fs.Int("m", 8, "number of cores")
+		k       = fs.Int("k", 0, "criticality levels (default: max in set)")
+		scheme  = fs.String("scheme", "CA-TPA", "heuristic: WFD|FFD|BFD|Hybrid|CA-TPA")
+		alpha   = fs.Float64("alpha", 0.7, "imbalance threshold (CA-TPA), > 0; +Inf disables the fallback")
+		trace   = fs.Bool("trace", false, "print the allocation trace")
+		compare = fs.Bool("compare", false, "run all five schemes")
+		asJSON  = fs.Bool("json", false, "emit the result as JSON")
+		useFP   = fs.Bool("fp", false, "use partitioned fixed-priority AMC-rtb instead of EDF-VD (dual-criticality sets, all five schemes)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "catpa:", err)
+		return 1
+	}
+	// The options read 0 as "the default"; a negative threshold would
+	// send every CA-TPA step to the fallback and NaN none of them.
+	if !(*alpha > 0) {
+		return fail(fmt.Errorf("-alpha %v: the imbalance threshold must be in (0, +Inf]", *alpha))
+	}
+
+	ts, err := readSet(*in, stdin)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	p, err := newPartitioner(ts, *m, *k, *useFP)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	opts := &catpa.PartitionOptions{Alpha: *alpha, Trace: *trace}
 
@@ -63,46 +87,47 @@ func main() {
 			}
 			rows = append(rows, row)
 		}
-		fmt.Print(textplot.AlignedTable(rows))
-		return
+		fmt.Fprint(stdout, textplot.AlignedTable(rows))
+		return 0
 	}
 
 	sch, err := catpa.ParseScheme(*scheme)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	r := p.Run(ts, sch, opts)
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(r); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
-	fmt.Println(r)
+	fmt.Fprintln(stdout, r)
 	if *trace {
-		fmt.Print(r.FormatTrace(ts))
+		fmt.Fprint(stdout, r.FormatTrace(ts))
 	}
 	if !r.Feasible {
-		fmt.Printf("first unplaceable task: %s\n", ts.Tasks[r.FailedTask].Label())
-		os.Exit(2)
+		fmt.Fprintf(stdout, "first unplaceable task: %s\n", ts.Tasks[r.FailedTask].Label())
+		return 2
 	}
 	for c, ci := range r.Cores {
-		fmt.Printf("P%-2d U=%.4f load=%.4f cond=k%d tasks:", c+1, ci.Util, ci.OwnLevelLoad, ci.FeasibleK)
+		fmt.Fprintf(stdout, "P%-2d U=%.4f load=%.4f cond=k%d tasks:", c+1, ci.Util, ci.OwnLevelLoad, ci.FeasibleK)
 		for _, ti := range ci.Tasks {
-			fmt.Printf(" %s", ts.Tasks[ti].Label())
+			fmt.Fprintf(stdout, " %s", ts.Tasks[ti].Label())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if lam := ci.Lambda; len(lam) > 1 && !math.IsNaN(lam[1]) {
-			fmt.Printf("     lambda:")
+			fmt.Fprintf(stdout, "     lambda:")
 			for _, l := range lam {
-				fmt.Printf(" %.4f", l)
+				fmt.Fprintf(stdout, " %.4f", l)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
+	return 0
 }
 
 // newPartitioner returns the engine every scheme runs on: the default
@@ -134,11 +159,11 @@ func newPartitioner(ts *catpa.TaskSet, m, k int, fp bool) (*catpa.Partitioner, e
 	return catpa.NewPartitionerWithBackend(m, k, be), nil
 }
 
-func readSet(path string) (*catpa.TaskSet, error) {
+func readSet(path string, stdin io.Reader) (*catpa.TaskSet, error) {
 	var data []byte
 	var err error
 	if path == "" {
-		data, err = io.ReadAll(os.Stdin)
+		data, err = io.ReadAll(stdin)
 	} else {
 		data, err = os.ReadFile(path)
 	}
@@ -150,9 +175,4 @@ func readSet(path string) (*catpa.TaskSet, error) {
 		return nil, fmt.Errorf("parsing task set: %w", err)
 	}
 	return &ts, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "catpa:", err)
-	os.Exit(1)
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -59,5 +61,40 @@ func TestFPRunsAMCRtb(t *testing.T) {
 	}
 	if !differs {
 		t.Fatal("fp matched EDF-VD on every set; the test cannot tell the backends apart")
+	}
+}
+
+// TestAlphaRange: -alpha accepts (0, +Inf] and rejects 0, negative
+// values and NaN with exit 1 and a one-line message naming the range.
+// (0 would silently select the 0.7 default, a negative threshold would
+// take the fallback at every step and NaN at none.)
+func TestAlphaRange(t *testing.T) {
+	cfg := catpa.DefaultGenConfig()
+	cfg.NSU = 0.4
+	set, err := json.Marshal(catpa.GenerateTaskSet(&cfg, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"0", "-0.5", "NaN"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-alpha", a}, bytes.NewReader(set), &stdout, &stderr)
+		want := "catpa: -alpha " + a + ": the imbalance threshold must be in (0, +Inf]\n"
+		if code != 1 || stderr.String() != want || stdout.Len() != 0 {
+			t.Errorf("-alpha %s: exit %d, stderr %q, stdout %q; want exit 1, stderr %q",
+				a, code, stderr.String(), stdout.String(), want)
+		}
+	}
+	for _, a := range []string{"0.3", "+Inf"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-alpha", a}, bytes.NewReader(set), &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+			t.Errorf("-alpha %s: exit %d, stderr %q; want a clean run", a, code, stderr.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, nil, &stdout, &stderr); code != 0 {
+		t.Errorf("-h: exit %d, want 0", code)
+	}
+	if code := run([]string{"-nosuchflag"}, nil, &stdout, &stderr); code != 1 {
+		t.Errorf("bad flag: exit %d, want 1", code)
 	}
 }

@@ -45,13 +45,6 @@ type Report struct {
 	// formula; for K = 2 the reading is unambiguous since only k = 1
 	// exists). For K = 1 it is U_1(1) (or +Inf when > 1).
 	CoreUtil float64
-
-	// CoreUtilWorst is the alternative literal reading of Eq. 9,
-	// max_{A(k)>=0} (1 - A(k)) — one minus the smallest available
-	// utilization among the holding conditions. It equals CoreUtil
-	// for K <= 2 and exists for the ablation study
-	// (BenchmarkAblationEq9Literal).
-	CoreUtilWorst float64
 }
 
 // Feasible reports whether the analyzed subset is schedulable by
@@ -99,7 +92,6 @@ func AnalyzeInto(m *mc.UtilMatrix, r *Report) {
 	r.Avail = resize(r.Avail, k-1)
 	r.FeasibleK = 0
 	r.CoreUtil = math.Inf(1)
-	r.CoreUtilWorst = math.Inf(1)
 
 	if k == 1 {
 		// Single-criticality systems reduce to plain EDF: U_1(1) <= 1.
@@ -107,7 +99,6 @@ func AnalyzeInto(m *mc.UtilMatrix, r *Report) {
 		if u <= 1+Eps {
 			r.FeasibleK = 1
 			r.CoreUtil = u
-			r.CoreUtilWorst = u
 		}
 		return
 	}
@@ -136,7 +127,6 @@ func AnalyzeInto(m *mc.UtilMatrix, r *Report) {
 		r.Mu[i-1] = sumOwn + minTerm
 	}
 	bestUtil := math.Inf(1)
-	worstUtil := math.Inf(-1)
 	for cond := 1; cond <= k-1; cond++ {
 		// theta(cond) = prod_{j=1}^{cond} (1 - lambda_j).
 		if valid && r.LambdaOK[cond-1] {
@@ -162,14 +152,10 @@ func AnalyzeInto(m *mc.UtilMatrix, r *Report) {
 			if u < bestUtil {
 				bestUtil = u
 			}
-			if u > worstUtil {
-				worstUtil = u
-			}
 		}
 	}
 	if r.FeasibleK > 0 {
 		r.CoreUtil = bestUtil
-		r.CoreUtilWorst = worstUtil
 	}
 }
 

@@ -109,9 +109,8 @@ func checkReportInvariants(t *testing.T, m *mc.UtilMatrix, r *Report) {
 	}
 
 	if !r.Feasible() {
-		if !math.IsInf(r.CoreUtil, 1) || !math.IsInf(r.CoreUtilWorst, 1) {
-			t.Fatalf("infeasible report has finite CoreUtil %v / CoreUtilWorst %v",
-				r.CoreUtil, r.CoreUtilWorst)
+		if !math.IsInf(r.CoreUtil, 1) {
+			t.Fatalf("infeasible report has finite CoreUtil %v", r.CoreUtil)
 		}
 		return
 	}
@@ -160,13 +159,9 @@ func checkReportInvariants(t *testing.T, m *mc.UtilMatrix, r *Report) {
 	}
 
 	// Eq. 9: the utilization of a feasible core lies in [0, 1] (modulo
-	// tolerance), and the worst-condition reading can only be larger.
+	// tolerance).
 	if r.CoreUtil < -Eps || r.CoreUtil > 1+Eps {
 		t.Fatalf("CoreUtil = %v outside [0, 1]", r.CoreUtil)
-	}
-	if r.CoreUtilWorst < r.CoreUtil-1e-12 || r.CoreUtilWorst > 1+Eps {
-		t.Fatalf("CoreUtilWorst = %v inconsistent with CoreUtil = %v",
-			r.CoreUtilWorst, r.CoreUtil)
 	}
 }
 
@@ -179,7 +174,7 @@ func reportsEqual(a, b *Report) bool {
 	feq := func(x, y float64) bool {
 		return math.Float64bits(x) == math.Float64bits(y)
 	}
-	if !feq(a.CoreUtil, b.CoreUtil) || !feq(a.CoreUtilWorst, b.CoreUtilWorst) {
+	if !feq(a.CoreUtil, b.CoreUtil) {
 		return false
 	}
 	fs := func(x, y []float64) bool {

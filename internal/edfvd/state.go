@@ -201,7 +201,7 @@ func (s *State) SimpleFeasibleWith(crit int, urow []float64) bool {
 }
 
 // UtilFloorWith returns a certified lower bound on the Eq. 9 core
-// utilization (either reading) of the virtually probed subset, or -Inf
+// utilization of the virtually probed subset, or -Inf
 // when K < 2: any holding condition has theta(k) <= 1 and
 // mu(k) >= mu(K-1), so core utilization is at least mu(K-1); a 1e-11
 // band covers the summation rounding. O(1).
@@ -337,14 +337,12 @@ func (s *State) lambdaStep(j int, lambda, prod float64, crit int, urow []float64
 }
 
 // ProbeEval is the scalar analysis summary of one probed (or
-// committed) subset: the Eq. 9 core utilization in both readings and
-// the smallest holding Theorem-1 condition. It is the value a
+// committed) subset: the Eq. 9 core utilization and the smallest
+// holding Theorem-1 condition. It is the value a
 // minimum-increment probe needs and the value a backend Place commits.
 type ProbeEval struct {
-	// CoreUtil is U^Psi per Eq. 9 (+Inf when no condition holds);
-	// CoreUtilWorst the literal worst-condition reading. They coincide
-	// for K <= 2.
-	CoreUtil, CoreUtilWorst float64
+	// CoreUtil is U^Psi per Eq. 9 (+Inf when no condition holds).
+	CoreUtil float64
 	// FeasibleK is the smallest holding condition level, or 0.
 	FeasibleK int
 }
@@ -352,8 +350,8 @@ type ProbeEval struct {
 // EvalWith analyzes the subset with a task of criticality crit and row
 // urow virtually added (crit = 0, urow = nil: the committed subset)
 // and fills ev. O(K); nothing is mutated. The O(1) overload reject
-// runs first — when it fires, no condition can hold and ev keeps the
-// infeasible readings — so callers need not screen separately.
+// runs first — when it fires, no condition can hold and ev gets the
+// infeasible analysis — so callers need not screen separately.
 //
 //mc:allocfree fills a caller-owned scalar struct
 func (s *State) EvalWith(crit int, urow []float64, ev *ProbeEval) {
@@ -364,7 +362,7 @@ func (s *State) EvalWith(crit int, urow []float64, ev *ProbeEval) {
 			u += urow[0]
 		}
 		if u <= 1+Eps {
-			*ev = ProbeEval{CoreUtil: u, CoreUtilWorst: u, FeasibleK: 1}
+			*ev = ProbeEval{CoreUtil: u, FeasibleK: 1}
 		} else {
 			ev.setInfeasible()
 		}
@@ -382,18 +380,18 @@ func (s *State) EvalWith(crit int, urow []float64, ev *ProbeEval) {
 	s.evalScan(crit, urow, minTerm, ev)
 }
 
-// setInfeasible fills ev with the readings of a subset no condition
+// setInfeasible fills ev with the analysis of a subset no condition
 // holds for.
 //
-//mc:allocfree three scalar stores
+//mc:allocfree two scalar stores
 func (ev *ProbeEval) setInfeasible() {
-	*ev = ProbeEval{CoreUtil: math.Inf(1), CoreUtilWorst: math.Inf(1)}
+	*ev = ProbeEval{CoreUtil: math.Inf(1)}
 }
 
 // evalScan is the condition scan of EvalWith, after the k == 1 head,
 // the overload fast-reject and the min-term computation. It runs
 // FeasibleWith's recursion without the early accept, collecting the
-// smallest holding condition and both Eq. 9 readings in locals, and
+// smallest holding condition and the Eq. 9 utilization in locals, and
 // writes ev once.
 //
 //mc:allocfree scalar reads and a fixed-depth recursion
@@ -404,7 +402,7 @@ func (s *State) evalScan(crit int, urow []float64, minTerm float64, ev *ProbeEva
 	own, colTail, ownTail := s.own[:n], s.colTail[:n], s.ownTail[:n]
 	theta := 1.0
 	feasibleK := 0
-	best, worst := math.Inf(1), math.Inf(-1)
+	best := math.Inf(1)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			if theta <= Eps {
@@ -440,16 +438,13 @@ func (s *State) evalScan(crit int, urow []float64, minTerm float64, ev *ProbeEva
 			if u < best {
 				best = u
 			}
-			if u > worst {
-				worst = u
-			}
 		}
 	}
 	if feasibleK == 0 {
 		ev.setInfeasible()
 		return
 	}
-	*ev = ProbeEval{CoreUtil: best, CoreUtilWorst: worst, FeasibleK: feasibleK}
+	*ev = ProbeEval{CoreUtil: best, FeasibleK: feasibleK}
 }
 
 // ProbeBoundedWith is EvalWith behind the certified UtilFloorWith
@@ -496,7 +491,7 @@ func (s *State) Eval(ev *ProbeEval) {
 
 // ReportInto fills r with the full committed analysis — the lambda
 // vector with validity flags, mu/theta/availability per condition, the
-// smallest holding condition and both Eq. 9 readings — in O(K),
+// smallest holding condition and the Eq. 9 utilization — in O(K),
 // reusing r's storage. The Report layout matches AnalyzeInto's; the
 // sums behind the scalar fields are the delta-maintained ones, so the
 // values are bitwise those of every other State query.
@@ -512,14 +507,12 @@ func (s *State) ReportInto(r *Report) {
 	r.Avail = resize(r.Avail, k-1)
 	r.FeasibleK = 0
 	r.CoreUtil = math.Inf(1)
-	r.CoreUtilWorst = math.Inf(1)
 
 	if k == 1 {
 		u := s.own[0]
 		if u <= 1+Eps {
 			r.FeasibleK = 1
 			r.CoreUtil = u
-			r.CoreUtilWorst = u
 		}
 		return
 	}
@@ -553,7 +546,6 @@ func (s *State) ReportInto(r *Report) {
 	theta := 1.0
 	valid = true
 	bestUtil := math.Inf(1)
-	worstUtil := math.Inf(-1)
 	for cond := 1; cond <= k-1; cond++ {
 		r.Mu[cond-1] = s.muWith(cond, minTerm, 0, nil)
 		if valid && r.LambdaOK[cond-1] {
@@ -577,13 +569,9 @@ func (s *State) ReportInto(r *Report) {
 			if u < bestUtil {
 				bestUtil = u
 			}
-			if u > worstUtil {
-				worstUtil = u
-			}
 		}
 	}
 	if r.FeasibleK > 0 {
 		r.CoreUtil = bestUtil
-		r.CoreUtilWorst = worstUtil
 	}
 }

@@ -104,8 +104,8 @@ func TestStateQueriesMatchAnalysis(t *testing.T) {
 			if s.SimpleFeasibleWith(crit, row) && !r.Feasible() {
 				t.Fatal(ctx("SimpleFeasibleWith accepts an infeasible subset"))
 			}
-			if floor := s.UtilFloorWith(crit, row); r.Feasible() && (floor > r.CoreUtil || floor > r.CoreUtilWorst) {
-				t.Fatal(ctx("UtilFloorWith"), floor, "exceeds Analyze", r.CoreUtil, r.CoreUtilWorst)
+			if floor := s.UtilFloorWith(crit, row); r.Feasible() && floor > r.CoreUtil {
+				t.Fatal(ctx("UtilFloorWith"), floor, "exceeds Analyze", r.CoreUtil)
 			}
 
 			var ev ProbeEval
@@ -113,18 +113,17 @@ func TestStateQueriesMatchAnalysis(t *testing.T) {
 			if ev.FeasibleK != r.FeasibleK {
 				t.Fatal(ctx("EvalWith FeasibleK"), ev.FeasibleK, "Analyze", r.FeasibleK)
 			}
-			if !approxEq(ev.CoreUtil, r.CoreUtil) || !approxEq(ev.CoreUtilWorst, r.CoreUtilWorst) {
-				t.Fatal(ctx("EvalWith readings"), ev.CoreUtil, ev.CoreUtilWorst,
-					"Analyze", r.CoreUtil, r.CoreUtilWorst)
+			if !approxEq(ev.CoreUtil, r.CoreUtil) {
+				t.Fatal(ctx("EvalWith CoreUtil"), ev.CoreUtil, "Analyze", r.CoreUtil)
 			}
 		}
 	}
 }
 
 // TestStateProbeCommitBitIdentity pins the delta contract at the State
-// seam for K = 1..6: the probed readings of a candidate must be bitwise
-// the committed readings after Add, and both must be bitwise the
-// readings ReportInto derives through lambdaStep, which keeps the
+// seam for K = 1..6: the probed analysis of a candidate must be bitwise
+// the committed analysis after Add, and both must be bitwise the
+// values ReportInto derives through lambdaStep, which keeps the
 // Eq. 6 running product in its own variable where the EvalWith scan
 // reuses theta. A reordered operation or a product that drifts from
 // theta would surface here as a one-ulp mismatch.
@@ -153,14 +152,13 @@ func TestStateProbeCommitBitIdentity(t *testing.T) {
 					k, trial, probe.Crit, probed, ev)
 			}
 
-			// The committed Report's scalar readings come from the same
+			// The committed Report's scalar fields come from the same
 			// sums, bitwise.
 			var rep Report
 			committed.ReportInto(&rep)
-			if rep.FeasibleK != ev.FeasibleK || rep.CoreUtil != ev.CoreUtil || rep.CoreUtilWorst != ev.CoreUtilWorst {
-				t.Fatalf("k=%d trial=%d: ReportInto (%d,%v,%v), Eval (%d,%v,%v)",
-					k, trial, rep.FeasibleK, rep.CoreUtil, rep.CoreUtilWorst,
-					ev.FeasibleK, ev.CoreUtil, ev.CoreUtilWorst)
+			if rep.FeasibleK != ev.FeasibleK || rep.CoreUtil != ev.CoreUtil {
+				t.Fatalf("k=%d trial=%d: ReportInto (%d,%v), Eval (%d,%v)",
+					k, trial, rep.FeasibleK, rep.CoreUtil, ev.FeasibleK, ev.CoreUtil)
 			}
 			if committed.K() != k || committed.Len() != s.Len()+1 {
 				t.Fatalf("k=%d trial=%d: committed dims (%d,%d), want (%d,%d)",

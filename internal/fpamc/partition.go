@@ -493,14 +493,13 @@ func (b *Backend) FeasibleWith(c, ti int) bool {
 
 // ProbeUtil is partition.Backend's ProbeUtil: the own-level load of core c
 // with task ti added, +Inf when the extended subset fails AMC-rtb.
-// The worst flag is ignored — the load metric has only one reading.
 // The load sum is exact whenever the probe is feasible, so it is its
 // own certified floor: the margin prune compares it before running the
 // response-time fixed points, and a pruned call leaves the probe
 // scratch untouched.
 //
 //mc:allocfree delegates to the scratch-based incremental probe
-func (b *Backend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64 {
+func (b *Backend) ProbeUtil(c, ti int, base, margin float64) float64 {
 	b.ensure(c)
 	load := b.loads[c] + b.u2[ti]
 	if load-base >= margin || !b.probe(c, ti) {
@@ -590,11 +589,11 @@ func (b *Backend) OwnLoad(c int) float64 {
 	return b.loads[c]
 }
 
-// CoreUtil is partition.Backend's CoreUtil; worst is ignored (one
-// reading, see ProbeUtil).
+// CoreUtil is partition.Backend's CoreUtil: the committed own-level
+// load, the metric ProbeUtil answers with.
 //
 //mc:allocfree accessor behind the rebuild check
-func (b *Backend) CoreUtil(c int, worst bool) float64 {
+func (b *Backend) CoreUtil(c int) float64 {
 	b.ensure(c)
 	return b.loads[c]
 }

@@ -172,13 +172,13 @@ func TestBackendProtocol(t *testing.T) {
 		if !b.FeasibleWith(0, 0) {
 			t.Fatal("empty core rejects a light task")
 		}
-		u := b.ProbeUtil(0, 0, false, 0, math.Inf(1))
+		u := b.ProbeUtil(0, 0, 0, math.Inf(1))
 		b.Place(0, 0) // commits the probe's analysis
 		if got := b.OwnLoad(0); got != u {
 			t.Errorf("round %d: OwnLoad %v != probed %v", round, got, u)
 		}
-		if b.CoreUtil(0, true) != b.CoreUtil(0, false) {
-			t.Error("amcrtb CoreUtil should not depend on the worst flag")
+		if got := b.CoreUtil(0); got != u {
+			t.Errorf("round %d: CoreUtil %v != probed %v", round, got, u)
 		}
 		var ci partition.CoreInfo
 		ci.Lambda = []float64{0.5} // must be cleared by ReportInto

@@ -171,9 +171,9 @@ func FuzzAMCProbeAgreement(f *testing.F) {
 					place(c, ti)
 				}
 			case 2: // probed placement; bit 7 probes another core in between
-				if core[ti] < 0 && !math.IsInf(b.ProbeUtil(c, ti, false, 0, math.Inf(1)), 1) {
+				if core[ti] < 0 && !math.IsInf(b.ProbeUtil(c, ti, 0, math.Inf(1)), 1) {
 					if op&0x80 != 0 {
-						b.ProbeUtil((c+1)%m, ti, false, 0, math.Inf(1))
+						b.ProbeUtil((c+1)%m, ti, 0, math.Inf(1))
 					}
 					b.Place(c, ti)
 					place(c, ti)

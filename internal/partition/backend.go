@@ -77,7 +77,7 @@ type Backend interface {
 	// ti is added — the virtual per-core test of Algorithm 1 used by
 	// the classical schemes. It must not mutate committed state.
 	//
-	// It is a method of its own, not ProbeUtil(c, ti, false, 0, +Inf)
+	// It is a method of its own, not ProbeUtil(c, ti, 0, +Inf)
 	// compared with +Inf, because a verdict can stop early: the EDF-VD
 	// backend accepts on the O(1) Eq. 4 sum and exits at the first
 	// holding Theorem-1 condition, where ProbeUtil must scan them all.
@@ -87,19 +87,18 @@ type Backend interface {
 
 	// ProbeUtil returns the core-utilization metric of core c with
 	// task ti added (Eq. 15's U^{Psi_c + tau_i}), or +Inf when the
-	// extended subset is infeasible. worst selects the literal Eq. 9
-	// reading where the backend distinguishes the two.
+	// extended subset is infeasible.
 	//
 	// base and margin bound the probe for Algorithm 1's
 	// minimum-increment search: when the backend's certified lower
-	// bound floor on the answer (for either reading) satisfies
-	// floor - base >= margin, the probe cannot beat the incumbent and
-	// ProbeUtil returns +Inf without running the analysis, leaving the
-	// previous probe's cached analysis in place. Any unpruned answer is
+	// bound floor on the answer satisfies floor - base >= margin, the
+	// probe cannot beat the incumbent and ProbeUtil returns +Inf
+	// without running the analysis, leaving the previous probe's
+	// cached analysis in place. Any unpruned answer is
 	// bitwise the margin = +Inf answer; callers that want the plain
 	// probe pass base 0 and margin +Inf. An unpruned probe's analysis
 	// may be cached for a following Place of the same (c, ti).
-	ProbeUtil(c, ti int, worst bool, base, margin float64) float64
+	ProbeUtil(c, ti int, base, margin float64) float64
 
 	// Place commits task ti to core c. When an unpruned ProbeUtil(c,
 	// ti, ...) ran since core c last changed, the backend may commit
@@ -127,8 +126,8 @@ type Backend interface {
 
 	// CoreUtil returns the committed core-utilization metric of core c
 	// (Eq. 9), lazily analyzing the core's subset if no cached
-	// analysis is current. worst selects the literal Eq. 9 reading.
-	CoreUtil(c int, worst bool) float64
+	// analysis is current.
+	CoreUtil(c int) float64
 
 	// ReportInto fills the analysis-derived fields of ci — Util,
 	// FeasibleK and Lambda — for core c's committed subset, reusing

@@ -37,8 +37,8 @@ type edfvdBackend struct {
 	dirty   []bool        // state must be rebuilt by replay before the next read
 	ndirty  int           // count of dirty cores: zero short-circuits ensure
 
-	// Committed analysis cache: aEval[c] holds the Eq. 9 readings and
-	// the holding condition of core c's committed subset when aOK[c].
+	// Committed analysis cache: aEval[c] holds the Eq. 9 utilization
+	// and the holding condition of core c's committed subset when aOK[c].
 	aEval []edfvd.ProbeEval
 	aOK   []bool
 
@@ -200,16 +200,13 @@ func (b *edfvdBackend) FeasibleWith(c, ti int) bool {
 // the slot untouched.
 //
 //mc:allocfree O(K) scalar analysis into reusable scratch
-func (b *edfvdBackend) ProbeUtil(c, ti int, worst bool, base, margin float64) float64 {
+func (b *edfvdBackend) ProbeUtil(c, ti int, base, margin float64) float64 {
 	b.ensure(c)
 	ev := &b.pEval[c]
 	if !b.states[c].ProbeBoundedWith(b.crit[ti], b.urow(ti), base, margin, ev) {
 		return math.Inf(1)
 	}
 	b.pTask[c] = ti
-	if worst {
-		return ev.CoreUtilWorst
-	}
 	return ev.CoreUtil
 }
 
@@ -283,18 +280,15 @@ func (b *edfvdBackend) OwnLoad(c int) float64 {
 }
 
 // CoreUtil implements Backend: the committed Eq. 9 core utilization,
-// in the requested reading, analyzing the core's cached sums in O(K)
+// analyzing the core's cached sums in O(K)
 // if no committed analysis is current.
 //
 //mc:allocfree reads or refills the scalar cache
-func (b *edfvdBackend) CoreUtil(c int, worst bool) float64 {
+func (b *edfvdBackend) CoreUtil(c int) float64 {
 	b.ensure(c)
 	if !b.aOK[c] {
 		b.states[c].Eval(&b.aEval[c])
 		b.aOK[c] = true
-	}
-	if worst {
-		return b.aEval[c].CoreUtilWorst
 	}
 	return b.aEval[c].CoreUtil
 }

@@ -121,23 +121,21 @@ func TestProbeUtilBounded(t *testing.T) {
 			for ti := ts.Len() / 2; ti < ts.Len(); ti++ {
 				for c := 0; c < m; c++ {
 					floor := tc.floor(be, members[c], c, ti)
-					for _, worst := range []bool{false, true} {
-						for _, base := range []float64{0, be.CoreUtil(c, worst)} {
-							full := be.ProbeUtil(c, ti, worst, base, inf)
-							d := floor - base
-							for _, margin := range []float64{inf, math.Nextafter(d, inf), d, d - 1e-3, d + 1e-3, 0} {
-								got := be.ProbeUtil(c, ti, worst, base, margin)
-								want := full
-								if d >= margin {
-									want = inf
-									pruned++
-								} else {
-									kept++
-								}
-								if math.Float64bits(got) != math.Float64bits(want) {
-									t.Fatalf("core %d task %d worst=%v base=%v margin=%v: ProbeUtil %v, want %v (floor %v, unbounded %v)",
-										c, ti, worst, base, margin, got, want, floor, full)
-								}
+					for _, base := range []float64{0, be.CoreUtil(c)} {
+						full := be.ProbeUtil(c, ti, base, inf)
+						d := floor - base
+						for _, margin := range []float64{inf, math.Nextafter(d, inf), d, d - 1e-3, d + 1e-3, 0} {
+							got := be.ProbeUtil(c, ti, base, margin)
+							want := full
+							if d >= margin {
+								want = inf
+								pruned++
+							} else {
+								kept++
+							}
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("core %d task %d base=%v margin=%v: ProbeUtil %v, want %v (floor %v, unbounded %v)",
+									c, ti, base, margin, got, want, floor, full)
 							}
 						}
 					}
@@ -152,7 +150,7 @@ func TestProbeUtilBounded(t *testing.T) {
 			// probe history.
 			ti, x := -1, -1
 			for cand := ts.Len() / 2; cand < ts.Len(); cand++ {
-				if math.IsInf(be.ProbeUtil(0, cand, false, 0, inf), 1) {
+				if math.IsInf(be.ProbeUtil(0, cand, 0, inf), 1) {
 					continue
 				}
 				if ti < 0 {
@@ -167,8 +165,8 @@ func TestProbeUtilBounded(t *testing.T) {
 			}
 			ref, refMembers := setup()
 			ref.Place(0, ti)
-			if fresh, _ := setup(); math.Float64bits(ref.CoreUtil(0, false)) != math.Float64bits(fresh.ProbeUtil(0, ti, false, 0, inf)) {
-				t.Fatalf("committed CoreUtil %v, probe %v", ref.CoreUtil(0, false), fresh.ProbeUtil(0, ti, false, 0, inf))
+			if fresh, _ := setup(); math.Float64bits(ref.CoreUtil(0)) != math.Float64bits(fresh.ProbeUtil(0, ti, 0, inf)) {
+				t.Fatalf("committed CoreUtil %v, probe %v", ref.CoreUtil(0), fresh.ProbeUtil(0, ti, 0, inf))
 			}
 			// prune returns a margin at which a probe of ti on core c
 			// is pruned: the certified floor itself, with base 0.
@@ -180,37 +178,37 @@ func TestProbeUtilBounded(t *testing.T) {
 				run  func(be partition.Backend)
 			}{
 				{"winning-probe", func(be partition.Backend) {
-					be.ProbeUtil(0, ti, false, 0, inf)
+					be.ProbeUtil(0, ti, 0, inf)
 				}},
 				{"unpruned-probe-of-another-core", func(be partition.Backend) {
-					be.ProbeUtil(0, ti, false, 0, inf)
-					be.ProbeUtil(1, ti, true, 0, inf)
+					be.ProbeUtil(0, ti, 0, inf)
+					be.ProbeUtil(1, ti, 0, inf)
 				}},
 				{"unpruned-probe-of-another-task", func(be partition.Backend) {
-					be.ProbeUtil(0, ti, false, 0, inf)
-					be.ProbeUtil(0, x, false, 0, inf)
+					be.ProbeUtil(0, ti, 0, inf)
+					be.ProbeUtil(0, x, 0, inf)
 				}},
 				{"pruned-probes", func(be partition.Backend) {
-					be.ProbeUtil(0, ti, false, 0, inf)
+					be.ProbeUtil(0, ti, 0, inf)
 					for _, c := range []int{1, 0} {
-						if got := be.ProbeUtil(c, ti, true, 0, prune(be, c)); !math.IsInf(got, 1) {
+						if got := be.ProbeUtil(c, ti, 0, prune(be, c)); !math.IsInf(got, 1) {
 							t.Fatalf("probe of core %d at margin = floor not pruned: %v", c, got)
 						}
 					}
 				}},
 				{"pruned-probe-only", func(be partition.Backend) {
-					be.ProbeUtil(0, ti, false, 0, prune(be, 0))
+					be.ProbeUtil(0, ti, 0, prune(be, 0))
 				}},
 				{"no-probe", func(partition.Backend) {}},
 				{"remove-then-reprobe", func(be partition.Backend) {
 					be.Place(0, x)
-					be.ProbeUtil(0, ti, false, 0, inf)
+					be.ProbeUtil(0, ti, 0, inf)
 					be.Remove(0, x)
-					be.ProbeUtil(0, ti, false, 0, inf)
+					be.ProbeUtil(0, ti, 0, inf)
 				}},
 				{"stale-probe-after-remove", func(be partition.Backend) {
 					be.Place(0, x)
-					be.ProbeUtil(0, ti, false, 0, inf)
+					be.ProbeUtil(0, ti, 0, inf)
 					be.Remove(0, x)
 				}},
 			}
@@ -218,10 +216,8 @@ func TestProbeUtilBounded(t *testing.T) {
 				got, _ := setup()
 				h.run(got)
 				got.Place(0, ti)
-				for _, worst := range []bool{false, true} {
-					if g, w := got.CoreUtil(0, worst), ref.CoreUtil(0, worst); math.Float64bits(g) != math.Float64bits(w) {
-						t.Errorf("%s worst=%v: committed CoreUtil %v, unprobed commit %v", h.name, worst, g, w)
-					}
+				if g, w := got.CoreUtil(0), ref.CoreUtil(0); math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%s: committed CoreUtil %v, unprobed commit %v", h.name, g, w)
 				}
 				// %x renders each float exactly, so equal strings mean
 				// bitwise-equal reports.

@@ -81,16 +81,14 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 	if got, want := b.states[0].Len(), ref.states[0].Len(); got != want {
 		t.Fatalf("replayed member count %d, reference %d", got, want)
 	}
-	for _, worst := range []bool{false, true} {
-		if got, want := b.CoreUtil(0, worst), ref.CoreUtil(0, worst); got != want {
-			t.Fatalf("replayed CoreUtil(worst=%v) = %v, reference %v", worst, got, want)
-		}
+	if got, want := b.CoreUtil(0), ref.CoreUtil(0); got != want {
+		t.Fatalf("replayed CoreUtil = %v, reference %v", got, want)
 	}
 	for ti := 1; ti <= 3; ti += 2 { // the removed tasks, as fresh candidates
 		if got, want := b.FeasibleWith(0, ti), ref.FeasibleWith(0, ti); got != want {
 			t.Fatalf("replayed FeasibleWith(%d) = %v, reference %v", ti, got, want)
 		}
-		gp, wp := b.ProbeUtil(0, ti, false, 0, math.Inf(1)), ref.ProbeUtil(0, ti, false, 0, math.Inf(1))
+		gp, wp := b.ProbeUtil(0, ti, 0, math.Inf(1)), ref.ProbeUtil(0, ti, 0, math.Inf(1))
 		if gp != wp && !(math.IsInf(gp, 1) && math.IsInf(wp, 1)) {
 			t.Fatalf("replayed ProbeUtil(%d) = %v, reference %v", ti, gp, wp)
 		}
@@ -110,21 +108,21 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 
 	// Reanalyze on a clean core forces the same replay unconditionally
 	// and must be a bitwise no-op on the readings.
-	before := b.CoreUtil(0, false)
+	before := b.CoreUtil(0)
 	b.Reanalyze(0)
-	if after := b.CoreUtil(0, false); after != before {
+	if after := b.CoreUtil(0); after != before {
 		t.Fatalf("Reanalyze changed a clean core's reading: %v -> %v", before, after)
 	}
 }
 
 // TestEdfvdAddMatchesProbe pins the probe/commit bit-identity the
 // delta contract promises on the backend seam: the committed Eq. 9
-// readings after Place(ti) are bitwise the probed readings of ti
+// utilization after Place(ti) is bitwise the probed utilization of ti
 // against the pre-Place core, for every placement along a growing K = 4
 // core. The probe folds the candidate's row into each read of the
 // generic Theorem-1 recursion; the commit reads the Add-ed sums. The
 // probe slot is cleared before each Place so the commit re-analyzes
-// the Add-ed state instead of installing the probe's own readings.
+// the Add-ed state instead of installing the probe's own analysis.
 func TestEdfvdAddMatchesProbe(t *testing.T) {
 	ts := deltaSet()
 	be, err := NewBackend(DefaultBackend)
@@ -136,8 +134,7 @@ func TestEdfvdAddMatchesProbe(t *testing.T) {
 	b.Prepare(ts)
 	b.Begin()
 	for ti := 0; ti < 4; ti++ {
-		probed := b.ProbeUtil(0, ti, false, 0, math.Inf(1))
-		probedW := b.ProbeUtil(0, ti, true, 0, math.Inf(1))
+		probed := b.ProbeUtil(0, ti, 0, math.Inf(1))
 		if math.IsInf(probed, 1) {
 			t.Fatalf("task %d rejected on a hand-schedulable core", ti)
 		}
@@ -146,11 +143,8 @@ func TestEdfvdAddMatchesProbe(t *testing.T) {
 		if b.aOK[0] {
 			t.Fatalf("task %d: Place installed a cleared probe slot", ti)
 		}
-		if got := b.CoreUtil(0, false); got != probed {
+		if got := b.CoreUtil(0); got != probed {
 			t.Fatalf("task %d: committed CoreUtil %v, probed %v", ti, got, probed)
-		}
-		if got := b.CoreUtil(0, true); got != probedW {
-			t.Fatalf("task %d: committed worst CoreUtil %v, probed %v", ti, got, probedW)
 		}
 	}
 }

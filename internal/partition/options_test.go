@@ -1,44 +1,11 @@
 package partition
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"catpa/internal/mc"
 )
-
-func TestEq9LiteralOption(t *testing.T) {
-	// The option must change only the placement metric, never accept
-	// an infeasible partition; across a population both variants stay
-	// valid and the literal one is (weakly) worse on acceptance.
-	rng := rand.New(rand.NewSource(17))
-	bestWins, literalWins := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		ts := randomSet(rng, 40, 4, 4, 0.55+0.15*rng.Float64())
-		rBest := New(4, 4).Run(ts, CATPA, nil)
-		rLit := New(4, 4).Run(ts, CATPA, &Options{Eq9Literal: true})
-		if err := rBest.Verify(ts); err != nil {
-			t.Fatal(err)
-		}
-		if err := rLit.Verify(ts); err != nil {
-			t.Fatal(err)
-		}
-		if rBest.Feasible && !rLit.Feasible {
-			bestWins++
-		}
-		if rLit.Feasible && !rBest.Feasible {
-			literalWins++
-		}
-	}
-	if bestWins+literalWins == 0 {
-		t.Skip("population too easy to separate the metrics")
-	}
-	if literalWins > bestWins {
-		t.Errorf("literal Eq.9 reading won %d vs %d — contradicts the calibration", literalWins, bestWins)
-	}
-	t.Logf("best-condition wins %d, literal wins %d over 200 sets", bestWins, literalWins)
-}
 
 func TestHybridMultiLevelSplit(t *testing.T) {
 	// For K=4 the Hybrid scheme treats every task with crit >= 2 as
@@ -129,26 +96,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.alpha() != DefaultAlpha {
 		t.Errorf("nil options alpha = %v", o.alpha())
 	}
-	if o.noProbe() || o.trace() || o.eq9Literal() {
-		t.Error("nil options enable switches")
-	}
-	if (&Options{}).order(ContributionOrder) != ContributionOrder {
-		t.Error("zero Options override default order")
-	}
-	if (&Options{Order: MaxUtilOrder}).order(ContributionOrder) != MaxUtilOrder {
-		t.Error("explicit order ignored")
-	}
-}
-
-func TestCATPANoProbeOption(t *testing.T) {
-	// NoProbe places on the first feasible core: identical tasks all
-	// land on core 0 until it would become infeasible.
-	ts := loSet(4, 0.3)
-	r := New(2, 1).Run(ts, CATPA, &Options{NoProbe: true, Alpha: InfAlpha()})
-	if !r.Feasible {
-		t.Fatal("infeasible")
-	}
-	if len(r.Cores[0].Tasks) != 3 || len(r.Cores[1].Tasks) != 1 {
-		t.Errorf("core sizes = %d,%d, want 3,1", len(r.Cores[0].Tasks), len(r.Cores[1].Tasks))
+	if o.trace() {
+		t.Error("nil options enable tracing")
 	}
 }

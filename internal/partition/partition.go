@@ -24,10 +24,10 @@ type allocator struct {
 	scheme Scheme
 	opts   *Options
 
-	// Per-core state. utils is the per-core U^Psi in the configured
-	// Eq. 9 reading (CA-TPA's decision metric), refreshed from the
-	// backend on CA-TPA or traced placements; ownLoad the Eq. 4
-	// own-level load the classical schemes compare cores by.
+	// Per-core state. utils is the per-core U^Psi of Eq. 9 (CA-TPA's
+	// decision metric), refreshed from the backend on CA-TPA or traced
+	// placements; ownLoad the Eq. 4 own-level load the classical
+	// schemes compare cores by.
 	utils   []float64
 	ownLoad []float64
 	tasks   [][]int // per-core task indices in allocation order
@@ -40,10 +40,10 @@ type allocator struct {
 	// Per-task state.
 	assign []int // task -> core
 
-	// Ordering cache: one order slot per OrderPolicy, valid for the
-	// current task set, and the sorts' shared scratch. Schemes sharing
-	// an effective ordering (all classical heuristics default to
-	// MaxUtilOrder) then sort the set only once per Prepare.
+	// Ordering cache: one slot per task order (byContribution,
+	// byMaxUtil), valid for the current task set, and the sorts' shared
+	// scratch. The four classical schemes share byMaxUtil, so each
+	// order is sorted at most once per Prepare.
 	ordIdx     [2][]int
 	ordOK      [2]bool
 	ordScratch mc.SortScratch
@@ -52,6 +52,16 @@ type allocator struct {
 
 	trace []Step
 }
+
+// The allocator's ordering-cache slots.
+const (
+	// byContribution is CA-TPA's order: decreasing utilization
+	// contribution (Eqs. 12-13 with the paper's tie rules).
+	byContribution = iota
+	// byMaxUtil is the classical schemes' order: decreasing own-level
+	// utilization.
+	byMaxUtil
+)
 
 // reset re-dimensions the allocator for m cores and k levels, reusing
 // storage where the dimensions allow.
@@ -137,14 +147,14 @@ func (a *allocator) runPrepared(scheme Scheme, opts *Options) {
 	a.clearRun(scheme, opts)
 	switch scheme {
 	case WFD, FFD, BFD:
-		a.placeAll(a.orderTasks(MaxUtilOrder), 1, a.k)
+		a.placeAll(a.orderTasks(byMaxUtil), 1, a.k)
 	case Hybrid:
-		order := a.orderTasks(MaxUtilOrder)
+		order := a.orderTasks(byMaxUtil)
 		if a.placeAll(order, 2, a.k) {
 			a.placeAll(order, 1, 1)
 		}
 	case CATPA:
-		a.placeAll(a.orderTasks(ContributionOrder), 1, a.k)
+		a.placeAll(a.orderTasks(byContribution), 1, a.k)
 	default:
 		panic(fmt.Sprintf("partition: unknown scheme %v", scheme))
 	}
@@ -186,7 +196,7 @@ func (a *allocator) place(ti, c int) {
 	a.tasks[c] = append(a.tasks[c], ti)
 	a.assign[ti] = c
 	if a.scheme == CATPA || a.opts.trace() {
-		a.utils[c] = a.be.CoreUtil(c, a.opts.eq9Literal())
+		a.utils[c] = a.be.CoreUtil(c)
 		a.bumpUtil(prev, a.utils[c])
 	}
 	if a.opts.trace() {
@@ -203,19 +213,14 @@ func (a *allocator) fail(ti int) {
 	}
 }
 
-// orderTasks resolves the ordering policy against the scheme's default
-// and returns the sorted task order, computing it at most once per
-// prepared task set and policy (the order is a pure function of both).
+// orderTasks returns the task order of the given cache slot, sorting
+// it at most once per prepared task set (the order is a pure function
+// of the set).
 //
 //mc:allocfree ordering scratch reused across runs
-func (a *allocator) orderTasks(def OrderPolicy) []int {
-	policy := a.opts.order(def)
-	slot := 0
-	if policy == MaxUtilOrder {
-		slot = 1
-	}
+func (a *allocator) orderTasks(slot int) []int {
 	if !a.ordOK[slot] {
-		if policy == ContributionOrder {
+		if slot == byContribution {
 			a.ordIdx[slot] = mc.SortByContributionInto(a.ts, a.ordIdx[slot], &a.ordScratch)
 		} else {
 			a.ordIdx[slot] = mc.SortByMaxUtilInto(a.ts, a.ordIdx[slot], &a.ordScratch)
@@ -326,19 +331,10 @@ func (a *allocator) rescanUtils() {
 	a.uMax, a.uMin = maxU, minU
 }
 
-// utilWith returns the backend's core utilization with task ti added
-// (Eq. 15), +Inf when the extended subset is infeasible or — with a
-// finite margin — when the backend's certified floor shows the probe
-// cannot beat an incumbent increment of margin over base.
-//
-//mc:allocfree delegates to the backend probe
-func (a *allocator) utilWith(c, ti int, base, margin float64) float64 {
-	return a.be.ProbeUtil(c, ti, a.opts.eq9Literal(), base, margin)
-}
-
-// pickMinIncrement probes every core (lines 5-11 of Algorithm 1) and
-// returns the feasible core with the smallest core-utilization
-// increment, ties broken by smaller index; -1 if none is feasible.
+// pickMinIncrement probes every core for its Eq. 15 utilization with ti
+// added (lines 5-11 of Algorithm 1) and returns the feasible core with
+// the smallest core-utilization increment, ties broken by smaller
+// index; -1 if none is feasible.
 //
 //mc:allocfree the probe loop of Algorithm 1
 func (a *allocator) pickMinIncrement(ti int) int {
@@ -349,7 +345,7 @@ func (a *allocator) pickMinIncrement(ti int) int {
 		// its certified utilization floor cannot beat the incumbent
 		// increment under the selection's Eps hysteresis; the floor is
 		// conservative, so no potential winner is pruned.
-		u := a.utilWith(c, ti, a.utils[c], bestInc-mc.Eps)
+		u := a.be.ProbeUtil(c, ti, a.utils[c], bestInc-mc.Eps)
 		if math.IsInf(u, 1) {
 			continue // infeasible on this core, or pruned
 		}
@@ -371,7 +367,7 @@ func (a *allocator) pickLeastLoaded(ti int) int {
 		if a.utils[c] >= bestU-mc.Eps {
 			continue
 		}
-		if math.IsInf(a.utilWith(c, ti, 0, math.Inf(1)), 1) {
+		if math.IsInf(a.be.ProbeUtil(c, ti, 0, math.Inf(1)), 1) {
 			continue
 		}
 		best, bestU = c, a.utils[c]
@@ -379,25 +375,12 @@ func (a *allocator) pickLeastLoaded(ti int) int {
 	return best
 }
 
-// pickFirstFeasible places on the first core that passes the backend's
-// schedulability test with the task added (the NoProbe ablation of
-// Algorithm 1).
-//
-//mc:allocfree the NoProbe ablation scan
-func (a *allocator) pickFirstFeasible(ti int) int {
-	for c := 0; c < a.m; c++ {
-		if !math.IsInf(a.utilWith(c, ti, 0, math.Inf(1)), 1) {
-			return c
-		}
-	}
-	return -1
-}
-
 // finishInto assembles the run's Result into r, reusing r's storage.
 //
 //mc:allocfree refills the Result's amortized slices
 func (a *allocator) finishInto(r *Result) {
 	r.Scheme = a.scheme
+	r.Backend = a.be.Name()
 	r.M, r.K = a.m, a.k
 	r.Feasible = a.failed < 0
 	r.FailedTask = a.failed
@@ -431,7 +414,7 @@ func (a *allocator) evaluate() Eval {
 	ev := Eval{Feasible: a.failed < 0, FailedTask: a.failed}
 	maxU, minU, sum := math.Inf(-1), math.Inf(1), 0.0
 	for c := 0; c < a.m; c++ {
-		u := a.be.CoreUtil(c, false)
+		u := a.be.CoreUtil(c)
 		sum += u
 		if u > maxU {
 			maxU = u

@@ -117,7 +117,7 @@ func (p *Partitioner) Summarize() Eval {
 // are only meaningful when Feasible is true (Eqs. 10, 11, 16).
 type Eval struct {
 	// Feasible reports whether every task was placed on a core whose
-	// subset passes the EDF-VD schedulability test.
+	// subset passes the backend's schedulability test.
 	Feasible bool
 	// FailedTask is the index of the first task that could not be
 	// placed, or -1.

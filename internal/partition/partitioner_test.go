@@ -117,15 +117,10 @@ func TestPartitionerEvaluateMatchesRun(t *testing.T) {
 	}
 }
 
-// TestPartitionerOptionsEquivalence covers the ablation switches
-// (ordering override, no-probe, literal Eq. 9, custom alpha) on the
-// reusable engine.
+// TestPartitionerOptionsEquivalence covers the non-default alpha
+// thresholds on the reusable engine.
 func TestPartitionerOptionsEquivalence(t *testing.T) {
 	optsList := []*partition.Options{
-		{Order: partition.MaxUtilOrder},
-		{Order: partition.ContributionOrder},
-		{NoProbe: true},
-		{Eq9Literal: true},
 		{Alpha: partition.InfAlpha()},
 		{Alpha: 0.3},
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"catpa/internal/edfvd"
+	"catpa/internal/fpamc"
 	"catpa/internal/mc"
 )
 
@@ -48,11 +49,14 @@ type Step struct {
 type Result struct {
 	// Scheme that produced the result.
 	Scheme Scheme
+	// Backend names the analysis that produced the result, as
+	// NewBackend takes it; empty reads as DefaultBackend.
+	Backend string
 	// M is the number of cores, K the number of criticality levels.
 	M, K int
 
 	// Feasible reports whether every task was placed on a core whose
-	// subset passes the EDF-VD schedulability test.
+	// subset passes the backend's schedulability test.
 	Feasible bool
 
 	// Assignment maps each task index to its core (0-based), or -1
@@ -120,15 +124,21 @@ func (r *Result) Subsets(ts *mc.TaskSet) []*mc.TaskSet {
 }
 
 // Verify re-derives feasibility of the final assignment from scratch
-// (independent matrices, fresh analysis) and checks internal
-// consistency. It returns an error describing the first inconsistency
-// found, or nil. Intended for tests and for validating deserialized
-// results.
+// (independent matrices, fresh analysis by the result's backend: the
+// Theorem-1 analysis for edfvd, the AMC-rtb response-time test and
+// the own-level load for amcrtb) and checks internal consistency. It
+// returns an error describing the first inconsistency found, or nil.
+// Intended for tests and for validating deserialized results.
 func (r *Result) Verify(ts *mc.TaskSet) error {
+	amc := r.Backend == fpamc.BackendName
+	if !amc && r.Backend != "" && r.Backend != DefaultBackend {
+		return fmt.Errorf("partition: unknown backend %q", r.Backend)
+	}
 	if len(r.Assignment) != ts.Len() {
 		return fmt.Errorf("partition: assignment length %d != N %d", len(r.Assignment), ts.Len())
 	}
 	mats := make([]*mc.UtilMatrix, r.M)
+	subsets := make([][]mc.Task, r.M)
 	for m := range mats {
 		mats[m] = mc.NewUtilMatrix(r.K)
 	}
@@ -144,15 +154,23 @@ func (r *Result) Verify(ts *mc.TaskSet) error {
 			return fmt.Errorf("partition: task %d assigned to invalid core %d", i, core)
 		}
 		mats[core].Add(&ts.Tasks[i])
+		subsets[core] = append(subsets[core], ts.Tasks[i])
 		placed++
 	}
 	for m := range mats {
-		rep := edfvd.Analyze(mats[m])
-		if r.Feasible && !rep.Feasible() {
+		var feasible bool
+		var util float64
+		if amc {
+			feasible, util = fpamc.Schedulable(subsets[m]), mats[m].OwnLevelLoad()
+		} else {
+			rep := edfvd.Analyze(mats[m])
+			feasible, util = rep.Feasible(), rep.CoreUtil
+		}
+		if r.Feasible && !feasible {
 			return fmt.Errorf("partition: core %d infeasible under re-analysis", m)
 		}
-		if r.Feasible && math.Abs(rep.CoreUtil-r.Cores[m].Util) > 1e-6 {
-			return fmt.Errorf("partition: core %d utilization %v != recomputed %v", m, r.Cores[m].Util, rep.CoreUtil)
+		if r.Feasible && math.Abs(util-r.Cores[m].Util) > 1e-6 {
+			return fmt.Errorf("partition: core %d utilization %v != recomputed %v", m, r.Cores[m].Util, util)
 		}
 	}
 	if r.Feasible && placed != ts.Len() {

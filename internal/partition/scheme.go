@@ -64,21 +64,6 @@ func ParseScheme(name string) (Scheme, error) {
 	return 0, fmt.Errorf("partition: unknown scheme %q", name)
 }
 
-// OrderPolicy selects how tasks are sorted before allocation. It
-// exists for the ablation study; the paper's CA-TPA always uses
-// ContributionOrder and the baselines always use MaxUtilOrder.
-type OrderPolicy int
-
-const (
-	// DefaultOrder lets the scheme pick its canonical ordering.
-	DefaultOrder OrderPolicy = iota
-	// ContributionOrder sorts by decreasing utilization contribution
-	// (Eqs. 12-13 with the paper's tie rules).
-	ContributionOrder
-	// MaxUtilOrder sorts by decreasing own-level utilization.
-	MaxUtilOrder
-)
-
 // Options tunes a heuristic run. The zero value selects the paper's
 // defaults.
 type Options struct {
@@ -86,18 +71,6 @@ type Options struct {
 	// III-C). Zero selects the paper's default 0.7; math.Inf(1)
 	// disables the imbalance fallback entirely.
 	Alpha float64
-
-	// Order overrides the task ordering (ablation only).
-	Order OrderPolicy
-
-	// NoProbe disables CA-TPA's minimum-increment probe and places
-	// each task on the first feasible core instead (ablation only).
-	NoProbe bool
-
-	// Eq9Literal switches the core-utilization metric to the literal
-	// worst-condition reading of Eq. 9 (see DESIGN.md section 3);
-	// ablation only.
-	Eq9Literal bool
 
 	// Trace records the per-task allocation steps in Result.Trace,
 	// reproducing the paper's Tables II-III format.
@@ -120,24 +93,7 @@ func (o *Options) alpha() float64 {
 
 //
 //mc:allocfree defaulting accessor
-func (o *Options) order(def OrderPolicy) OrderPolicy {
-	if o == nil || o.Order == DefaultOrder {
-		return def
-	}
-	return o.Order
-}
-
-//
-//mc:allocfree defaulting accessor
-func (o *Options) noProbe() bool { return o != nil && o.NoProbe }
-
-//
-//mc:allocfree defaulting accessor
 func (o *Options) trace() bool { return o != nil && o.Trace }
-
-//
-//mc:allocfree defaulting accessor
-func (o *Options) eq9Literal() bool { return o != nil && o.Eq9Literal }
 
 // InfAlpha is a convenience for disabling the imbalance fallback.
 func InfAlpha() float64 { return math.Inf(1) }

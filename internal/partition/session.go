@@ -104,7 +104,7 @@ func (p *Partitioner) Release(ti int) int {
 		// Mirror place's cache discipline: schemes that keep utils
 		// current see the post-removal committed analysis.
 		prev := a.utils[c]
-		a.utils[c] = a.be.CoreUtil(c, a.opts.eq9Literal())
+		a.utils[c] = a.be.CoreUtil(c)
 		a.bumpUtil(prev, a.utils[c])
 	}
 	return c
@@ -144,14 +144,10 @@ func (a *allocator) pick(ti int) int {
 		}
 		return a.pickFFD(ti)
 	case CATPA:
-		switch {
-		case a.imbalance() > a.opts.alpha():
+		if a.imbalance() > a.opts.alpha() {
 			return a.pickLeastLoaded(ti)
-		case a.opts.noProbe():
-			return a.pickFirstFeasible(ti)
-		default:
-			return a.pickMinIncrement(ti)
 		}
+		return a.pickMinIncrement(ti)
 	}
 	panic(fmt.Sprintf("partition: unknown scheme %v", a.scheme))
 }

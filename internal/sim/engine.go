@@ -85,9 +85,6 @@ type CoreConfig struct {
 	Horizon float64
 	// Model decides job execution demands; nil selects WorstCaseModel.
 	Model ExecModel
-	// ForcePlainEDF disables virtual deadlines even when the subset
-	// needs them (used to demonstrate why EDF-VD exists).
-	ForcePlainEDF bool
 
 	// FixedPriority switches dispatching from EDF-VD to static
 	// priorities: Priorities[p] is the task index with the p-th
@@ -196,9 +193,6 @@ func SimulateCore(cfg CoreConfig) *CoreStats {
 			seen[ti] = true
 			e.rank[ti] = pos
 		}
-		// Fixed-priority dispatching ignores deadlines for priority;
-		// keep the VD table neutral.
-		e.cfg.ForcePlainEDF = true
 	}
 	e.buildVDTable()
 	e.stats.PlainEDF = e.stats.PlainEDF && !cfg.FixedPriority
@@ -229,7 +223,9 @@ func (e *engine) buildVDTable() {
 	for i := range e.cfg.Tasks {
 		m.Add(&e.cfg.Tasks[i])
 	}
-	plain := e.cfg.ForcePlainEDF || edfvd.SimpleFeasible(m)
+	// Fixed-priority dispatching ignores deadlines for priority; keep
+	// the VD table neutral.
+	plain := e.cfg.FixedPriority || edfvd.SimpleFeasible(m)
 	e.stats.PlainEDF = plain
 
 	lambda := make([]float64, e.cfg.K)

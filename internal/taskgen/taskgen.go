@@ -77,11 +77,6 @@ type Config struct {
 	// Periods lists the candidate period ranges; one is chosen
 	// uniformly per task.
 	Periods []Range
-
-	// CritSpread forces criticality levels to be drawn uniformly from
-	// {1..K} (the paper's rule). It exists so tests can pin levels.
-	// When non-nil, CritOf(i, rng) overrides the draw for task i.
-	CritOf func(i int, rng *rand.Rand) int
 }
 
 // DefaultConfig returns the paper's default parameter point:
@@ -135,7 +130,7 @@ func Generate(cfg *Config, rng *rand.Rand) *mc.TaskSet {
 	uBase := cfg.NSU * float64(cfg.M) / float64(n)
 	ts := mc.NewTaskSetCap(n)
 	for i := 0; i < n; i++ {
-		ts.Tasks = append(ts.Tasks, genTask(cfg, rng, i+1, uBase, nil))
+		ts.Tasks = append(ts.Tasks, genTask(cfg, rng, i+1, uBase))
 	}
 	return ts
 }
@@ -216,23 +211,15 @@ func (s *splitmix) intn(n int) int {
 	return int(v % int32(n))
 }
 
-// genTask draws one task, backing its WCET vector with w (which must
-// have capacity for cfg.K entries when taken from an arena, or be
-// nil to allocate fresh storage).
-func genTask(cfg *Config, rng *rand.Rand, id int, uBase float64, w []float64) mc.Task {
+// genTask draws one task: the period-range pick, the period, the c(1)
+// factor, the criticality and the IFC, in that order.
+func genTask(cfg *Config, rng *rand.Rand, id int, uBase float64) mc.Task {
 	pr := cfg.Periods[rng.Intn(len(cfg.Periods))]
 	p := pr.sample(rng)
 	c1 := (0.2 + rng.Float64()*1.6) * p * uBase
 	crit := 1 + rng.Intn(cfg.K)
-	if cfg.CritOf != nil {
-		crit = cfg.CritOf(id-1, rng)
-	}
 	ifc := cfg.IFC.sample(rng)
-	if w == nil {
-		w = make([]float64, crit)
-	} else {
-		w = w[:crit]
-	}
+	w := make([]float64, crit)
 	c := c1
 	for k := 0; k < crit; k++ {
 		w[k] = c
@@ -250,11 +237,6 @@ func genTask(cfg *Config, rng *rand.Rand, id int, uBase float64, w []float64) mc
 		for k := 1; k < crit; k++ {
 			w[k] = p
 		}
-	}
-	if cfg.CritOf != nil {
-		// Pinned criticalities come from an arbitrary test hook; keep
-		// the validated constructor on that path.
-		return mc.MustTaskSlab(id, "", p, w)
 	}
 	// The draws above enforce every Task invariant structurally:
 	// positive period, positive geometrically non-decreasing WCETs,
@@ -275,7 +257,6 @@ func genTask(cfg *Config, rng *rand.Rand, id int, uBase float64, w []float64) mc
 // Generate call. A Generator must not be shared between goroutines.
 type Generator struct {
 	src   *splitmix
-	rng   *rand.Rand
 	arena []float64
 	ts    mc.TaskSet
 }
@@ -283,8 +264,7 @@ type Generator struct {
 // NewGenerator returns an empty generator; the seed is installed per
 // Generate call.
 func NewGenerator() *Generator {
-	src := newSplitmix(1)
-	return &Generator{src: src, rng: rand.New(src)}
+	return &Generator{src: newSplitmix(1)}
 }
 
 // Generate produces the idx-th task set of the replicated experiment
@@ -294,24 +274,13 @@ func NewGenerator() *Generator {
 //
 // Draws go through the source's direct float64/intn replicas of the
 // rand.Rand algorithms — the same values in the same order, without
-// per-draw dispatch — except under a CritOf hook, whose callback
-// receives a *rand.Rand and therefore keeps the generic path.
+// per-draw dispatch.
 func (g *Generator) Generate(cfg *Config, baseSeed int64, idx int) *mc.TaskSet {
 	if err := cfg.Validate(); err != nil {
 		//lint:ignore mclint/panicmsg Validate errors already carry the "taskgen: " prefix
 		panic(err)
 	}
 	g.src.Seed(mix(baseSeed, int64(idx)))
-	if cfg.CritOf != nil {
-		n := cfg.N.sample(g.rng)
-		uBase := cfg.NSU * float64(cfg.M) / float64(n)
-		g.sizeFor(n, cfg.K)
-		for i := 0; i < n; i++ {
-			w := g.arena[i*cfg.K : i*cfg.K+cfg.K]
-			g.ts.Tasks = append(g.ts.Tasks, genTask(cfg, g.rng, i+1, uBase, w))
-		}
-		return &g.ts
-	}
 	src := g.src
 	n := cfg.N.Lo
 	if cfg.N.Hi > cfg.N.Lo {

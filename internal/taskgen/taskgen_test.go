@@ -124,19 +124,6 @@ func TestCritLevelsCoverRange(t *testing.T) {
 	}
 }
 
-func TestCritOfOverride(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CritOf = func(i int, _ *rand.Rand) int { return 1 + i%2 }
-	rng := rand.New(rand.NewSource(5))
-	ts := Generate(&cfg, rng)
-	for i := range ts.Tasks {
-		want := 1 + i%2
-		if ts.Tasks[i].Crit != want {
-			t.Fatalf("task %d crit = %d, want %d", i, ts.Tasks[i].Crit, want)
-		}
-	}
-}
-
 // TestGenerateIndexedDeterministic: the same (seed, idx) pair always
 // yields the same set; different indices yield different sets.
 func TestGenerateIndexedDeterministic(t *testing.T) {

@@ -83,9 +83,11 @@ go test -count=1 -run 'HotPathAllocFree|SessionAllocFree|FuzzAMCProbeAgreement|F
 # The incremental-vs-batch differential wall by name: the deterministic
 # agreement sweep (delta commits vs Reanalyze-forced recompute, both
 # backends, all schemes, batch and churn), the session-replays-batch
-# proof, and the hand-computed delta fixtures.
+# proof, the hand-computed delta fixtures, and the per-core metamorphic
+# properties of both backends (FuzzBackendMetamorphic's seed corpus and
+# its deterministic sweep).
 step "incremental differential wall"
-go test -count=1 -run 'IncrementalAgreement|SessionMatchesBatch|Delta|WarmStart' \
+go test -count=1 -run 'IncrementalAgreement|SessionMatchesBatch|Delta|WarmStart|BackendMetamorphic' \
     ./internal/partition ./internal/edfvd ./internal/fpamc
 
 # Coverage ratchet: the line coverage of the internal packages must not
@@ -112,6 +114,7 @@ if [[ "$FUZZTIME" != "0s" && "$FUZZTIME" != "0" ]]; then
     go test ./internal/fpamc -run='^$' -fuzz='^FuzzBackendAgreement$' -fuzztime="$FUZZTIME"
     go test ./internal/fpamc -run='^$' -fuzz='^FuzzAMCProbeAgreement$' -fuzztime="$FUZZTIME"
     go test ./internal/partition -run='^$' -fuzz='^FuzzIncrementalAgreement$' -fuzztime="$FUZZTIME"
+    go test ./internal/partition -run='^$' -fuzz='^FuzzBackendMetamorphic$' -fuzztime="$FUZZTIME"
     go test ./internal/serve -run='^$' -fuzz='^FuzzAdmitDecode$' -fuzztime="$FUZZTIME"
     go test ./internal/runner -run='^$' -fuzz='^FuzzCheckpointLine$' -fuzztime="$FUZZTIME"
 fi
