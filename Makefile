@@ -16,18 +16,9 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mclint ./...
 
-# fuzz runs the same targets as the fuzz step of scripts/check.sh.
+# fuzz runs the fuzz target list of scripts/check.sh.
 fuzz:
-	$(GO) test ./internal/edfvd -run='^$$' -fuzz='^FuzzTheorem1Feasible$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/edfvd -run='^$$' -fuzz='^FuzzDualAgreement$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/taskgen -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/taskgen -run='^$$' -fuzz='^FuzzCDFSource$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/fpamc -run='^$$' -fuzz='^FuzzBackendAgreement$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/fpamc -run='^$$' -fuzz='^FuzzAMCProbeAgreement$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzIncrementalAgreement$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzBackendMetamorphic$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzAdmitDecode$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/runner -run='^$$' -fuzz='^FuzzCheckpointLine$$' -fuzztime=$(FUZZTIME)
+	bash -c '. scripts/check.sh && fuzz_all $(FUZZTIME)'
 
 fmt:
 	gofmt -w .

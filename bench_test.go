@@ -394,8 +394,8 @@ func benchSessionEvents(b *testing.B, p *catpa.Partitioner, ts *catpa.TaskSet) {
 	}
 }
 
-// BenchmarkOnlineScenario times the end-to-end online pipeline — CDF
-// stream generation, the merged arrival/departure replay through
+// BenchmarkOnlineScenario times the end-to-end online pipeline — Table-IV
+// universe and Poisson stream generation, the merged arrival/departure replay through
 // incremental sessions for every variant, and the time-bucketed
 // aggregation — and reports admission-verdict throughput. The steady
 // state must stay allocation-free per replication (the per-iteration

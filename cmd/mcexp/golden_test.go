@@ -54,7 +54,7 @@ func TestGoldenFigure5(t *testing.T) {
 	goldenFigure(t, "fig5", "5", "60")
 }
 
-// TestGoldenOnline locks the online pipeline the same way: the CDF/
+// TestGoldenOnline locks the online pipeline the same way: the Poisson
 // arrival stream generation, the incremental Admit/Release replay, the
 // time-bucketed aggregation and the online chart rendering must
 // reproduce the checked-in admission-rate and utilization-over-time

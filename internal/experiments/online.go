@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"catpa/internal/fpamc"
@@ -30,12 +31,13 @@ import (
 // time-weighted means are compensated, so fixed-seed goldens hold.
 type OnlineScenario struct {
 	// NewSource constructs each worker's task source; nil selects the
-	// paper's Table-IV generator.
+	// paper's Table-IV generator. Only tests set it, to inject a
+	// source that fails.
 	NewSource func() taskgen.TaskSource
 	// Process draws inter-arrival gaps and lifetimes (required).
-	Process taskgen.ArrivalProcess
+	Process taskgen.Poisson
 	// Horizon is the scenario length in task-period time units; events
-	// at or past it are not generated (required, positive).
+	// at or past it are not generated (required, finite and positive).
 	Horizon float64
 	// Buckets is the resolution of the over-time curves; 0 selects 16.
 	Buckets int
@@ -52,11 +54,11 @@ func (o *OnlineScenario) buckets() int {
 }
 
 func (o *OnlineScenario) validate() error {
-	if o.Process == nil {
-		return fmt.Errorf("experiments: online scenario: nil arrival process")
-	}
 	if err := o.Process.Validate(); err != nil {
 		return fmt.Errorf("experiments: online scenario: %v", err)
+	}
+	if math.IsNaN(o.Horizon) || math.IsInf(o.Horizon, 0) {
+		return fmt.Errorf("experiments: online scenario: horizon %v is not finite", o.Horizon)
 	}
 	if o.Horizon <= 0 {
 		return fmt.Errorf("experiments: online scenario: horizon %v <= 0", o.Horizon)

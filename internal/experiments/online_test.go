@@ -42,14 +42,21 @@ func testOnlineSweep(sets, workers int) *Sweep {
 // TestOnlineScenarioValidation checks that scenario misconfiguration
 // surfaces as one error before any worker runs.
 func TestOnlineScenarioValidation(t *testing.T) {
+	ok := taskgen.Poisson{Rate: 1, MeanLifetime: 1}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		sc   *OnlineScenario
 		want string
 	}{
-		{"nil process", &OnlineScenario{Horizon: 100}, "experiments: online scenario: nil arrival process"},
 		{"bad process", &OnlineScenario{Process: taskgen.Poisson{}, Horizon: 100}, "experiments: online scenario: taskgen: poisson: rate 0 <= 0"},
-		{"bad horizon", &OnlineScenario{Process: taskgen.Poisson{Rate: 1, MeanLifetime: 1}}, "experiments: online scenario: horizon 0 <= 0"},
+		{"nan rate", &OnlineScenario{Process: taskgen.Poisson{Rate: nan, MeanLifetime: 1}, Horizon: 100}, "experiments: online scenario: taskgen: poisson: rate NaN is not finite"},
+		{"inf rate", &OnlineScenario{Process: taskgen.Poisson{Rate: inf, MeanLifetime: 1}, Horizon: 100}, "experiments: online scenario: taskgen: poisson: rate +Inf is not finite"},
+		{"nan lifetime", &OnlineScenario{Process: taskgen.Poisson{Rate: 1, MeanLifetime: nan}, Horizon: 100}, "experiments: online scenario: taskgen: poisson: mean lifetime NaN is not finite"},
+		{"bad horizon", &OnlineScenario{Process: ok}, "experiments: online scenario: horizon 0 <= 0"},
+		{"nan horizon", &OnlineScenario{Process: ok, Horizon: nan}, "experiments: online scenario: horizon NaN is not finite"},
+		{"inf horizon", &OnlineScenario{Process: ok, Horizon: inf}, "experiments: online scenario: horizon +Inf is not finite"},
+		{"-inf horizon", &OnlineScenario{Process: ok, Horizon: -inf}, "experiments: online scenario: horizon -Inf is not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

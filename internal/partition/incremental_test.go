@@ -2,6 +2,7 @@ package partition_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"catpa/internal/mc"
@@ -194,6 +195,86 @@ func TestSessionMatchesBatchOrder(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestSessionPermutation pins the session's independence from task
+// indices: a session over a permuted copy of the universe (tasks keep
+// their IDs), fed the same event stream with every task mapped through
+// the permutation, must return the same core and verdict from every
+// Admit and the same core from every Release, and end on the same
+// Summarize — on all five schemes, edfvd K = 2 and 4, amcrtb K = 2.
+// The load is high enough that sheds and releases interleave.
+func TestSessionPermutation(t *testing.T) {
+	const (
+		seed    = 2026
+		sets    = 40
+		horizon = 4000.0
+	)
+	proc := taskgen.Poisson{Rate: 0.08, MeanLifetime: 1000}
+	for _, tc := range []struct {
+		backend string
+		k       int
+	}{{partition.DefaultBackend, 2}, {partition.DefaultBackend, 4}, {"amcrtb", 2}} {
+		t.Run(fmt.Sprintf("%s-K%d", tc.backend, tc.k), func(t *testing.T) {
+			cfg := popConfig(4, tc.k)
+			cfg.NSU = 1.3
+			sb := taskgen.NewStreamBuilder()
+			rng := rand.New(rand.NewSource(seed))
+			newPart := func() *partition.Partitioner {
+				be, err := partition.NewBackend(tc.backend)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return partition.NewWithBackend(cfg.M, cfg.K, be)
+			}
+			p, q := newPart(), newPart()
+			var events, admits, sheds int
+			for idx := 0; idx < sets; idx++ {
+				ts := taskgen.GenerateIndexed(&cfg, seed, idx)
+				perm := rng.Perm(ts.Len()) // task i sits at perm[i] in pts
+				pts := &mc.TaskSet{Tasks: make([]mc.Task, ts.Len())}
+				for i, j := range perm {
+					pts.Tasks[j] = ts.Tasks[i]
+				}
+				stream := sb.Build(proc, ts.Len(), horizon, seed, idx)
+				for _, scheme := range partition.Schemes {
+					ctx := fmt.Sprintf("idx=%d %v", idx, scheme)
+					p.StartIncremental(ts, scheme, nil)
+					q.StartIncremental(pts, scheme, nil)
+					for _, e := range stream {
+						events++
+						i, j := e.Task, perm[e.Task]
+						if e.Arrive {
+							c, ok := p.Admit(i)
+							pc, pok := q.Admit(j)
+							if c != pc || ok != pok {
+								t.Fatalf("%s: Admit(task %d) = (%d,%v), permuted Admit(%d) = (%d,%v)",
+									ctx, i, c, ok, j, pc, pok)
+							}
+							if ok {
+								admits++
+							} else {
+								sheds++
+							}
+						} else if p.Assigned(i) >= 0 {
+							if c, pc := p.Release(i), q.Release(j); c != pc {
+								t.Fatalf("%s: Release(task %d) = %d, permuted Release(%d) = %d",
+									ctx, i, c, j, pc)
+							}
+						}
+					}
+					if a, b := p.Summarize(), q.Summarize(); a != b {
+						t.Fatalf("%s: final summary %+v, permuted %+v", ctx, a, b)
+					}
+				}
+			}
+			if sheds == 0 || admits == 0 {
+				t.Fatalf("%d admits and %d sheds over %d events; the load does not exercise both verdicts",
+					admits, sheds, events)
+			}
+			t.Logf("%d events, %d admits, %d sheds", events, admits, sheds)
 		})
 	}
 }

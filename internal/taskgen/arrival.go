@@ -2,6 +2,7 @@ package taskgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -19,24 +20,11 @@ type Event struct {
 	Arrive bool
 }
 
-// ArrivalProcess draws the timing of an online workload: for each
-// successive arrival, the gap since the previous arrival and the
-// lifetime the arriving task stays in the system. Implementations must
-// be deterministic functions of the rng stream and safe to share
-// between StreamBuilders (they hold no draw state).
-type ArrivalProcess interface {
-	// Next draws the inter-arrival gap to this arrival and its
-	// lifetime. Both must be non-negative.
-	Next(rng *rand.Rand) (gap, lifetime float64)
-	// Validate reports a configuration error, if any.
-	Validate() error
-}
-
-// Poisson is the memoryless arrival process: exponential inter-arrival
-// gaps with the given rate and exponential lifetimes with the given
-// mean, the M/M/∞-style open-loop workload of queueing models. By
-// Little's law the standing occupancy targets Rate * MeanLifetime
-// tasks (capped by the universe size).
+// Poisson is the online workload's arrival process: exponential
+// inter-arrival gaps with the given rate and exponential lifetimes with
+// the given mean, the M/M/∞-style open-loop workload of queueing
+// models. By Little's law the standing occupancy targets
+// Rate * MeanLifetime tasks (capped by the universe size).
 type Poisson struct {
 	// Rate is the arrival intensity (arrivals per time unit).
 	Rate float64
@@ -44,57 +32,31 @@ type Poisson struct {
 	MeanLifetime float64
 }
 
-// Next implements ArrivalProcess.
+// Next draws the inter-arrival gap to the next arrival and its
+// lifetime, in that order.
 //
 //mc:allocfree two exponential draws
-func (p Poisson) Next(rng *rand.Rand) (float64, float64) {
+func (p Poisson) Next(rng *rand.Rand) (gap, lifetime float64) {
 	return rng.ExpFloat64() / p.Rate, rng.ExpFloat64() * p.MeanLifetime
 }
 
-// Validate implements ArrivalProcess.
+// Validate reports a configuration error, if any: both parameters must
+// be finite and positive.
 func (p Poisson) Validate() error {
-	if p.Rate <= 0 {
+	switch {
+	case !isFinite(p.Rate):
+		return fmt.Errorf("taskgen: poisson: rate %v is not finite", p.Rate)
+	case p.Rate <= 0:
 		return fmt.Errorf("taskgen: poisson: rate %v <= 0", p.Rate)
-	}
-	if p.MeanLifetime <= 0 {
+	case !isFinite(p.MeanLifetime):
+		return fmt.Errorf("taskgen: poisson: mean lifetime %v is not finite", p.MeanLifetime)
+	case p.MeanLifetime <= 0:
 		return fmt.Errorf("taskgen: poisson: mean lifetime %v <= 0", p.MeanLifetime)
 	}
 	return nil
 }
 
-// TraceArrivals draws inter-arrival gaps and lifetimes from loaded
-// empirical CDFs — the trace-shaped counterpart of Poisson, so bursty
-// or heavy-tailed real-world arrival patterns replay deterministically.
-type TraceArrivals struct {
-	// InterArrival is the gap distribution; support must be
-	// non-negative.
-	InterArrival *CDF
-	// Lifetime is the sojourn-time distribution; support must be
-	// non-negative.
-	Lifetime *CDF
-}
-
-// Next implements ArrivalProcess.
-//
-//mc:allocfree two quantile lookups
-func (t *TraceArrivals) Next(rng *rand.Rand) (float64, float64) {
-	return t.InterArrival.Quantile(rng.Float64()), t.Lifetime.Quantile(rng.Float64())
-}
-
-// Validate implements ArrivalProcess.
-func (t *TraceArrivals) Validate() error {
-	switch {
-	case t.InterArrival == nil:
-		return fmt.Errorf("taskgen: trace arrivals: nil inter-arrival CDF")
-	case t.Lifetime == nil:
-		return fmt.Errorf("taskgen: trace arrivals: nil lifetime CDF")
-	case t.InterArrival.Min() < 0:
-		return fmt.Errorf("taskgen: trace arrivals: inter-arrival support must be non-negative, got min %v", t.InterArrival.Min())
-	case t.Lifetime.Min() < 0:
-		return fmt.Errorf("taskgen: trace arrivals: lifetime support must be non-negative, got min %v", t.Lifetime.Min())
-	}
-	return nil
-}
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // arrivalSalt decorrelates the event-stream draw sequence from the
 // task-universe generation: both are addressed by (baseSeed, idx), and
@@ -132,10 +94,13 @@ func NewStreamBuilder() *StreamBuilder {
 // bit for bit.
 //
 //mc:deterministic the event stream is replayed into checkpointed aggregates and golden CSVs
-func (b *StreamBuilder) Build(p ArrivalProcess, n int, horizon float64, baseSeed int64, idx int) []Event {
+func (b *StreamBuilder) Build(p Poisson, n int, horizon float64, baseSeed int64, idx int) []Event {
 	if err := p.Validate(); err != nil {
 		//lint:ignore mclint/panicmsg Validate errors already carry the "taskgen: " prefix
 		panic(err)
+	}
+	if !isFinite(horizon) {
+		panic(fmt.Sprintf("taskgen: stream: horizon %v is not finite", horizon))
 	}
 	if horizon <= 0 {
 		panic(fmt.Sprintf("taskgen: stream: horizon %v <= 0", horizon))

@@ -1,28 +1,30 @@
 package taskgen
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 )
 
-// TestArrivalProcessValidate pins the configuration errors of both
-// processes.
-func TestArrivalProcessValidate(t *testing.T) {
-	pos := MustCDF([]float64{1}, []float64{5})
-	neg := MustCDF([]float64{0.5, 1}, []float64{-1, 5})
+// TestPoissonValidate pins the configuration errors of the arrival
+// process: both parameters must be finite and positive.
+func TestPoissonValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
-		p    ArrivalProcess
+		p    Poisson
 		want string // "" means valid
 	}{
 		{"poisson ok", Poisson{Rate: 0.1, MeanLifetime: 100}, ""},
 		{"poisson zero rate", Poisson{Rate: 0, MeanLifetime: 100}, "taskgen: poisson: rate 0 <= 0"},
 		{"poisson bad lifetime", Poisson{Rate: 0.1, MeanLifetime: -2}, "taskgen: poisson: mean lifetime -2 <= 0"},
-		{"trace ok", &TraceArrivals{InterArrival: pos, Lifetime: pos}, ""},
-		{"trace nil gap", &TraceArrivals{Lifetime: pos}, "taskgen: trace arrivals: nil inter-arrival CDF"},
-		{"trace nil lifetime", &TraceArrivals{InterArrival: pos}, "taskgen: trace arrivals: nil lifetime CDF"},
-		{"trace negative gap", &TraceArrivals{InterArrival: neg, Lifetime: pos}, "taskgen: trace arrivals: inter-arrival support must be non-negative, got min -1"},
-		{"trace negative lifetime", &TraceArrivals{InterArrival: pos, Lifetime: neg}, "taskgen: trace arrivals: lifetime support must be non-negative, got min -1"},
+		{"poisson nan rate", Poisson{Rate: nan, MeanLifetime: 100}, "taskgen: poisson: rate NaN is not finite"},
+		{"poisson inf rate", Poisson{Rate: inf, MeanLifetime: 100}, "taskgen: poisson: rate +Inf is not finite"},
+		{"poisson -inf rate", Poisson{Rate: -inf, MeanLifetime: 100}, "taskgen: poisson: rate -Inf is not finite"},
+		{"poisson nan lifetime", Poisson{Rate: 0.1, MeanLifetime: nan}, "taskgen: poisson: mean lifetime NaN is not finite"},
+		{"poisson inf lifetime", Poisson{Rate: 0.1, MeanLifetime: inf}, "taskgen: poisson: mean lifetime +Inf is not finite"},
+		{"poisson -inf lifetime", Poisson{Rate: 0.1, MeanLifetime: -inf}, "taskgen: poisson: mean lifetime -Inf is not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,10 +150,7 @@ func TestStreamTieBreak(t *testing.T) {
 // stream construction performs no heap allocations.
 func TestStreamZeroAllocs(t *testing.T) {
 	sb := NewStreamBuilder()
-	// Box the process into the interface once, as a scenario holding an
-	// ArrivalProcess field does; per-call conversion would count as the
-	// caller's allocation, not the builder's.
-	var p ArrivalProcess = Poisson{Rate: 0.05, MeanLifetime: 400}
+	p := Poisson{Rate: 0.05, MeanLifetime: 400}
 	for idx := 0; idx < 8; idx++ {
 		sb.Build(p, 64, 2000, 3, idx)
 	}
@@ -164,19 +163,34 @@ func TestStreamZeroAllocs(t *testing.T) {
 }
 
 // TestStreamBadInputs checks that invalid processes and horizons are
-// rejected by panic before any draw.
+// rejected by panic, with the exact message, before any draw.
 func TestStreamBadInputs(t *testing.T) {
 	sb := NewStreamBuilder()
-	mustPanic(t, "invalid process", func() { sb.Build(Poisson{}, 10, 100, 1, 0) })
-	mustPanic(t, "zero horizon", func() { sb.Build(Poisson{Rate: 1, MeanLifetime: 1}, 10, 0, 1, 0) })
-}
-
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s: no panic", name)
-		}
-	}()
-	fn()
+	ok := Poisson{Rate: 1, MeanLifetime: 1}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name    string
+		p       Poisson
+		horizon float64
+		want    string
+	}{
+		{"invalid process", Poisson{}, 100, "taskgen: poisson: rate 0 <= 0"},
+		{"nan rate", Poisson{Rate: nan, MeanLifetime: 1}, 100, "taskgen: poisson: rate NaN is not finite"},
+		{"inf rate", Poisson{Rate: inf, MeanLifetime: 1}, 100, "taskgen: poisson: rate +Inf is not finite"},
+		{"nan lifetime", Poisson{Rate: 1, MeanLifetime: nan}, 100, "taskgen: poisson: mean lifetime NaN is not finite"},
+		{"zero horizon", ok, 0, "taskgen: stream: horizon 0 <= 0"},
+		{"nan horizon", ok, nan, "taskgen: stream: horizon NaN is not finite"},
+		{"inf horizon", ok, inf, "taskgen: stream: horizon +Inf is not finite"},
+		{"-inf horizon", ok, -inf, "taskgen: stream: horizon -Inf is not finite"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Fatalf("panic:\n got: %s\nwant: %s", got, tc.want)
+				}
+			}()
+			sb.Build(tc.p, 10, tc.horizon, 1, 0)
+		})
+	}
 }

@@ -1,10 +1,6 @@
 package taskgen
 
-import (
-	"fmt"
-
-	"catpa/internal/mc"
-)
+import "catpa/internal/mc"
 
 // TaskSource produces the task universes a scenario evaluates: the
 // idx-th call of a replicated experiment rooted at baseSeed must return
@@ -12,178 +8,13 @@ import (
 // The returned set and every task's WCET vector may alias the source's
 // internal storage — valid only until the next Generate call — and a
 // TaskSource must not be shared between goroutines. *Generator (the
-// Table-IV protocol of the paper) is the canonical implementation;
-// CDFSource drives generation from empirical trace shapes instead.
+// Table-IV protocol of the paper) is the one production
+// implementation; tests substitute sources that fail on purpose.
 type TaskSource interface {
 	// Generate produces the idx-th task universe of the replicated
-	// experiment rooted at baseSeed. cfg supplies the family parameters
-	// every source honours (M, K, N, NSU, IFC); how the per-task
-	// quantities are drawn is the source's own protocol.
+	// experiment rooted at baseSeed under the family parameters cfg.
 	Generate(cfg *Config, baseSeed int64, idx int) *mc.TaskSet
 }
 
 // Compile-time proof that the Table-IV generator is a TaskSource.
 var _ TaskSource = (*Generator)(nil)
-
-// CDFSource generates task sets whose per-task utilization, period and
-// criticality mix follow loaded empirical distributions instead of the
-// paper's uniform Table-IV draws — the real-trace workload shape the
-// related work (Lupu et al.) shows reorders partitioning heuristics.
-//
-//   - period: drawn from the Period CDF (support must be positive);
-//   - utilization shape: drawn from the Util CDF, then the whole set is
-//     scaled by one factor so the aggregate level-1 utilization hits
-//     exactly NSU * M — the sweep axis keeps its meaning while the
-//     relative shape (heavy tails and all) is the trace's;
-//   - criticality: drawn from the CritMix table, CritMix[j-1] being the
-//     cumulative probability of levels <= j (CritMix[K-1] == 1);
-//   - WCET growth: geometric with a per-task IFC drawn uniformly from
-//     cfg.IFC, capped at the period exactly like the Table-IV path.
-//
-// Like Generator, a CDFSource owns a reusable SplitMix64 stream, a
-// task-slice buffer and a WCET arena, so steady-state generation
-// performs no heap allocations, and (cfg, baseSeed, idx) addresses one
-// task set bit for bit. Not safe for concurrent use.
-type CDFSource struct {
-	util    *CDF
-	period  *CDF
-	critMix []float64
-
-	src   *splitmix
-	arena []float64
-	uraw  []float64
-	ts    mc.TaskSet
-}
-
-// NewCDFSource validates the distributions and returns a source.
-// critMix must have one cumulative probability per criticality level,
-// non-decreasing and ending at exactly 1; the period support must be
-// strictly positive and the utilization support non-negative.
-func NewCDFSource(util, period *CDF, critMix []float64) (*CDFSource, error) {
-	switch {
-	case util == nil:
-		return nil, fmt.Errorf("taskgen: cdf source: nil utilization CDF")
-	case period == nil:
-		return nil, fmt.Errorf("taskgen: cdf source: nil period CDF")
-	case period.Min() <= 0:
-		return nil, fmt.Errorf("taskgen: cdf source: period support must be positive, got min %v", period.Min())
-	case util.Min() < 0:
-		return nil, fmt.Errorf("taskgen: cdf source: utilization support must be non-negative, got min %v", util.Min())
-	case util.Max() <= 0:
-		return nil, fmt.Errorf("taskgen: cdf source: utilization support must reach above 0, got max %v", util.Max())
-	case len(critMix) == 0:
-		return nil, fmt.Errorf("taskgen: cdf source: empty criticality mix")
-	}
-	for j, p := range critMix {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("taskgen: cdf source: critMix[%d] = %v outside [0, 1]", j, p)
-		}
-		if j > 0 && p < critMix[j-1] {
-			return nil, fmt.Errorf("taskgen: cdf source: critMix not non-decreasing: critMix[%d] = %v < critMix[%d] = %v", j, p, j-1, critMix[j-1])
-		}
-	}
-	//lint:ignore mclint/floateq deliberately exact: a mix not ending at exactly 1 leaves probability mass undefined
-	if last := critMix[len(critMix)-1]; last != 1 {
-		return nil, fmt.Errorf("taskgen: cdf source: last critMix entry must be 1, got %v", last)
-	}
-	return &CDFSource{
-		util:    util,
-		period:  period,
-		critMix: append([]float64(nil), critMix...),
-		src:     newSplitmix(1),
-	}, nil
-}
-
-// Generate implements TaskSource. The criticality-mix table is
-// truncated at cfg.K: levels past it fold into K, so a dual-criticality
-// sweep point can reuse a richer trace table.
-func (s *CDFSource) Generate(cfg *Config, baseSeed int64, idx int) *mc.TaskSet {
-	if err := cfg.Validate(); err != nil {
-		//lint:ignore mclint/panicmsg Validate errors already carry the "taskgen: " prefix
-		panic(err)
-	}
-	src := s.src
-	src.Seed(mix(baseSeed, int64(idx)))
-	n := cfg.N.Lo
-	if cfg.N.Hi > cfg.N.Lo {
-		n += src.intn(cfg.N.Hi - cfg.N.Lo + 1)
-	}
-	s.sizeFor(n, cfg.K)
-
-	// Pass 1: draw the raw utilization shape and sum it, so pass 2 can
-	// scale every task by the one factor that lands the aggregate
-	// level-1 utilization on NSU * M (exactly, up to the same per-task
-	// cap at utilization 1 the Table-IV generator applies).
-	sumU := 0.0
-	for i := 0; i < n; i++ {
-		u := s.util.Quantile(src.float64())
-		s.uraw[i] = u
-		sumU += u
-	}
-	scale := 1.0
-	if sumU > 0 {
-		scale = cfg.NSU * float64(cfg.M) / sumU
-	}
-
-	for i := 0; i < n; i++ {
-		p := s.period.Quantile(src.float64())
-		crit := s.drawCrit(src, cfg.K)
-		ifc := cfg.IFC.Lo + src.float64()*(cfg.IFC.Hi-cfg.IFC.Lo)
-		w := s.arena[i*cfg.K : i*cfg.K+crit]
-		c := s.uraw[i] * scale * p
-		for k := 0; k < crit; k++ {
-			w[k] = c
-			c *= 1 + ifc
-		}
-		// Cap own-level utilization at 1 exactly like the Table-IV
-		// generator: truncate WCET growth at the period, and clamp the
-		// whole vector if even c(1) overflows.
-		for k := 1; k < crit; k++ {
-			if w[k] > p {
-				w[k] = p
-			}
-		}
-		if w[0] > p {
-			for k := 0; k < crit; k++ {
-				w[k] = p
-			}
-		}
-		s.ts.Tasks = append(s.ts.Tasks, mc.TaskSlabTrusted(i+1, p, w))
-	}
-	return &s.ts
-}
-
-// drawCrit inverts the cumulative criticality mix, folding trace
-// levels beyond k into k.
-//
-//mc:allocfree linear scan over a short table
-func (s *CDFSource) drawCrit(src *splitmix, k int) int {
-	u := src.float64()
-	for j, p := range s.critMix {
-		if u < p {
-			if j+1 > k {
-				return k
-			}
-			return j + 1
-		}
-	}
-	// Unreachable: float64() < 1 and the last entry is exactly 1.
-	return k
-}
-
-// sizeFor readies the slabs for n tasks of up to k levels.
-//
-//mc:allocfree amortized: reallocates only on growth
-func (s *CDFSource) sizeFor(n, k int) {
-	if need := n * k; cap(s.arena) < need {
-		s.arena = make([]float64, need)
-	}
-	if cap(s.uraw) < n {
-		s.uraw = make([]float64, n)
-	}
-	s.uraw = s.uraw[:n]
-	if cap(s.ts.Tasks) < n {
-		s.ts.Tasks = make([]mc.Task, 0, n)
-	}
-	s.ts.Tasks = s.ts.Tasks[:0]
-}

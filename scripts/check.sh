@@ -8,6 +8,34 @@
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target fuzz budget (default 10s; "0s" skips fuzzing)
 
+# The fuzz targets, one "<package> <target>" pair each: the fuzz step
+# at the end of the gate and `make fuzz` both run exactly this list,
+# and the "fuzz target list" step keeps it in step with the tree.
+FUZZ_TARGETS=(
+    "./internal/edfvd FuzzTheorem1Feasible"
+    "./internal/edfvd FuzzDualAgreement"
+    "./internal/taskgen FuzzGenerate"
+    "./internal/fpamc FuzzBackendAgreement"
+    "./internal/fpamc FuzzAMCProbeAgreement"
+    "./internal/partition FuzzIncrementalAgreement"
+    "./internal/partition FuzzBackendMetamorphic"
+    "./internal/serve FuzzAdmitDecode"
+    "./internal/runner FuzzCheckpointLine"
+)
+
+# fuzz_all runs every listed target for the budget given as $1.
+fuzz_all() {
+    local pair pkg name
+    for pair in "${FUZZ_TARGETS[@]}"; do
+        read -r pkg name <<<"$pair"
+        go test "$pkg" -run='^$' -fuzz="^${name}\$" -fuzztime="$1" || return 1
+    done
+}
+
+# Sourced (as `make fuzz` does), the script stops here with the list
+# and fuzz_all defined; executed, it runs the whole gate.
+[[ "${BASH_SOURCE[0]}" == "$0" ]] || return 0
+
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +60,47 @@ go build ./...
 step "mclint"
 go run ./cmd/mclint ./...
 
+# `go test -fuzz` with a pattern that names no target prints "no fuzz
+# tests to fuzz" and exits 0, so a stale entry would pass silently.
+# This step runs at every budget: each listed target and each -fuzz
+# target of ci.yml must be a func <name>(f *testing.F) in its package,
+# and each Fuzz func in the tree must be listed.
+step "fuzz target list"
+fuzz_func_missing() {
+    ! grep -qE "^func $2\(f \*testing\.F\)" "$1"/*_test.go
+}
+fuzz_listed() {
+    local pair
+    for pair in "${FUZZ_TARGETS[@]}"; do
+        [[ $pair == "$1" ]] && return 0
+    done
+    return 1
+}
+stale=0
+for pair in "${FUZZ_TARGETS[@]}"; do
+    read -r pkg name <<<"$pair"
+    if fuzz_func_missing "$pkg" "$name"; then
+        echo "fuzz target list: $pkg has no func $name(f *testing.F)" >&2
+        stale=1
+    fi
+done
+while read -r pkg name; do
+    if fuzz_func_missing "$pkg" "$name"; then
+        echo "fuzz target list: ci.yml fuzzes $name, but $pkg has no func $name(f *testing.F)" >&2
+        stale=1
+    fi
+done < <(sed -e ':a' -e '/\\$/N; s/\\\n//; ta' .github/workflows/ci.yml |
+    sed -nE 's/.*go test ([^ ]+) .*-fuzz=.\^([A-Za-z0-9_]+).*/\1 \2/p')
+while IFS=: read -r file fn; do
+    name=${fn#func }
+    name=${name%%(*}
+    if ! fuzz_listed "$(dirname "$file") $name"; then
+        echo "fuzz target list: $file: $name is not listed in FUZZ_TARGETS" >&2
+        stale=1
+    fi
+done < <(grep -rEo --include='*_test.go' --exclude-dir=testdata '^func Fuzz[A-Za-z0-9_]*\(f \*testing\.F\)' .)
+[[ $stale == 0 ]] || exit 1
+
 step "go test -race"
 go test -race ./...
 
@@ -49,14 +118,14 @@ step "oracle + metrics + golden suite"
 go test -count=1 -run 'SimOracle|Metrics|Golden|ZeroAllocs' \
     ./internal/partition ./internal/experiments ./internal/runner ./cmd/mcexp
 
-# The scenario layer by name: CDF and arrival-stream validation, the
+# The scenario layer by name: arrival-process and stream validation, the
 # online sweep aggregation/determinism/quarantine proofs, the online
 # sim-oracle churn differential, the scenario checkpoint identity
 # (version-1 static journals resume byte-identically, protocol
 # mismatches refuse), and the fixed-seed online CLI goldens.
 step "scenario-golden"
 go test -count=1 \
-    -run 'CDF|Stream|ArrivalProcess|Online|Scenario|Timeline|Version1Static' \
+    -run 'Poisson|Stream|Online|Scenario|Timeline|Version1Static' \
     ./internal/taskgen ./internal/experiments ./internal/sim \
     ./internal/runner ./internal/partition ./cmd/mcexp
 
@@ -107,16 +176,7 @@ awk -v t="$total" -v f="$COVER_FLOOR" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 
 if [[ "$FUZZTIME" != "0s" && "$FUZZTIME" != "0" ]]; then
     step "fuzz (${FUZZTIME} per target)"
-    go test ./internal/edfvd -run='^$' -fuzz='^FuzzTheorem1Feasible$' -fuzztime="$FUZZTIME"
-    go test ./internal/edfvd -run='^$' -fuzz='^FuzzDualAgreement$' -fuzztime="$FUZZTIME"
-    go test ./internal/taskgen -run='^$' -fuzz='^FuzzGenerate$' -fuzztime="$FUZZTIME"
-    go test ./internal/taskgen -run='^$' -fuzz='^FuzzCDFSource$' -fuzztime="$FUZZTIME"
-    go test ./internal/fpamc -run='^$' -fuzz='^FuzzBackendAgreement$' -fuzztime="$FUZZTIME"
-    go test ./internal/fpamc -run='^$' -fuzz='^FuzzAMCProbeAgreement$' -fuzztime="$FUZZTIME"
-    go test ./internal/partition -run='^$' -fuzz='^FuzzIncrementalAgreement$' -fuzztime="$FUZZTIME"
-    go test ./internal/partition -run='^$' -fuzz='^FuzzBackendMetamorphic$' -fuzztime="$FUZZTIME"
-    go test ./internal/serve -run='^$' -fuzz='^FuzzAdmitDecode$' -fuzztime="$FUZZTIME"
-    go test ./internal/runner -run='^$' -fuzz='^FuzzCheckpointLine$' -fuzztime="$FUZZTIME"
+    fuzz_all "$FUZZTIME"
 fi
 
 step "OK"
