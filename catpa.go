@@ -143,19 +143,6 @@ func FPPartition(ts *TaskSet, m int, scheme Scheme) (*PartitionResult, error) {
 	return partition.NewWithBackend(m, 2, be).Run(ts, scheme, nil), nil
 }
 
-// FPMultiAnalysis is the K-level generalization of the AMC-rtb
-// analysis (Fleming-Burns style).
-type FPMultiAnalysis = fpamc.MultiAnalysis
-
-// FPAnalyzeMulti runs the K-level AMC-rtb analysis on a subset.
-func FPAnalyzeMulti(tasks []Task, k int) (*FPMultiAnalysis, error) {
-	return fpamc.AnalyzeMulti(tasks, k)
-}
-
-// FPMultiSchedulable reports whether a subset passes the K-level
-// AMC-rtb analysis.
-func FPMultiSchedulable(tasks []Task, k int) bool { return fpamc.MultiSchedulable(tasks, k) }
-
 // Partitioning heuristics (internal/partition).
 type (
 	// Scheme identifies a partitioning heuristic.

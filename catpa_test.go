@@ -97,13 +97,6 @@ func TestFacadeFP(t *testing.T) {
 	if !catpa.FPSchedulable(ts.Tasks) {
 		t.Error("FPSchedulable disagrees")
 	}
-	if !catpa.FPMultiSchedulable(ts.Tasks, 2) {
-		t.Error("FPMultiSchedulable disagrees")
-	}
-	ma, err := catpa.FPAnalyzeMulti(ts.Tasks, 2)
-	if err != nil || !ma.Schedulable {
-		t.Fatal("FPAnalyzeMulti failed")
-	}
 	prio := catpa.FPPriorities(ts.Tasks)
 	if len(prio) != 2 || prio[0] != 0 {
 		t.Errorf("priorities = %v", prio)

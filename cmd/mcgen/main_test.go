@@ -48,6 +48,8 @@ func TestBadFlagsExit1(t *testing.T) {
 		{[]string{"-n", "40"}, "mcgen: invalid range \"40\" (want lo:hi)\n"},
 		{[]string{"-ifc", "0.4:0.4x"}, "mcgen: invalid range \"0.4:0.4x\" (want lo:hi)\n"},
 		{[]string{"-ifc", "0.4:NaN"}, "mcgen: invalid range \"0.4:NaN\" (want lo:hi)\n"},
+		{[]string{"-nsu", "NaN", "-n", "3:3"}, "mcgen: taskgen: NSU=NaN is not finite\n"},
+		{[]string{"-nsu", "+Inf"}, "mcgen: taskgen: NSU=+Inf is not finite\n"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

@@ -43,42 +43,17 @@ func NewTaskSetCap(capacity int) *TaskSet {
 	return &TaskSet{Tasks: make([]Task, 0, capacity)}
 }
 
-// NewTaskSlab is NewTask without the defensive WCET copy: the returned
-// task aliases wcet directly. It exists for slab-backed generators that
-// carve per-task WCET vectors out of one reusable arena; the caller
-// must not mutate wcet for the lifetime of the task. Validation is
-// identical to NewTask.
-func NewTaskSlab(id int, name string, period float64, wcet []float64) (Task, error) {
-	t := Task{
-		ID:     id,
-		Name:   name,
-		Period: period,
-		Crit:   len(wcet),
-		WCET:   wcet,
-	}
-	if err := t.Validate(); err != nil {
-		return Task{}, err
-	}
-	return t, nil
-}
-
-// MustTaskSlab is NewTaskSlab panicking on invalid parameters.
-func MustTaskSlab(id int, name string, period float64, wcet []float64) Task {
-	t, err := NewTaskSlab(id, name, period, wcet)
-	if err != nil {
-		panic(fmt.Sprintf("mc: MustTaskSlab: %v", err))
-	}
-	return t
-}
-
-// TaskSlabTrusted is NewTaskSlab without the per-task Validate pass,
-// for generators whose outputs are valid by construction (positive
-// period, positive non-decreasing WCETs capped at the period). The
-// validation loop is measurable in generation-bound sweeps — it reads
-// every WCET and divides once per task — and proves nothing for a
-// generator that enforces the invariants structurally. Callers outside
-// such generators must use NewTaskSlab or MustTaskSlab; an invalid
-// task built here fails later analysis in undefined ways.
+// TaskSlabTrusted builds a task that aliases wcet directly — no
+// defensive copy and no Validate pass — for slab-backed generators
+// that carve per-task WCET vectors out of one reusable arena and whose
+// outputs are valid by construction (positive period, positive
+// non-decreasing WCETs capped at the period). The caller must not
+// mutate wcet for the lifetime of the task. The validation loop is
+// measurable in generation-bound sweeps — it reads every WCET and
+// divides once per task — and proves nothing for a generator that
+// enforces the invariants structurally. Callers outside such
+// generators must use NewTask or MustTask; an invalid task built here
+// fails later analysis in undefined ways.
 //
 //mc:allocfree a struct literal over the caller's slab
 func TaskSlabTrusted(id int, period float64, wcet []float64) Task {

@@ -372,16 +372,13 @@ func (e *engine) goIdle() {
 // pick returns the next job to dispatch: under EDF-VD the earliest
 // virtual deadline (ties by smaller task index, then earlier release),
 // under fixed priorities the highest-ranked task's earliest job.
+// Guaranteed jobs strictly precede background jobs (only BackgroundLO
+// makes any); within each class the normal policy applies.
 func (e *engine) pick() *job {
-	if e.cfg.BackgroundLO {
-		// Guaranteed jobs strictly precede background jobs; within
-		// each class the normal policy applies.
-		if g := e.pickClass(false); g != nil {
-			return g
-		}
-		return e.pickClass(true)
+	if g := e.pickClass(false); g != nil {
+		return g
 	}
-	return e.pickAll()
+	return e.pickClass(true)
 }
 
 // pickClass picks within one class (guaranteed or background); nil if
@@ -416,33 +413,6 @@ func (e *engine) precedes(a, b *job) bool {
 		return true
 	}
 	return false
-}
-
-func (e *engine) pickAll() *job {
-	if e.rank != nil {
-		best := 0
-		for i := 1; i < len(e.active); i++ {
-			a, b := &e.active[i], &e.active[best]
-			if e.rank[a.task] < e.rank[b.task] ||
-				(e.rank[a.task] == e.rank[b.task] && a.release < b.release) {
-				best = i
-			}
-		}
-		return &e.active[best]
-	}
-	best := 0
-	for i := 1; i < len(e.active); i++ {
-		a, b := &e.active[i], &e.active[best]
-		switch {
-		case a.vd < b.vd-timeEps:
-			best = i
-		case a.vd <= b.vd+timeEps && a.task < b.task:
-			best = i
-		case a.vd <= b.vd+timeEps && a.task == b.task && a.release < b.release:
-			best = i
-		}
-	}
-	return &e.active[best]
 }
 
 // segmentEnd computes how far the chosen job may run before the next

@@ -12,9 +12,9 @@ func tlSet(tasks ...mc.Task) *mc.TaskSet { return &mc.TaskSet{Tasks: tasks} }
 // subsets are skipped, repeats and permutations deduplicate, and
 // first-seen order is preserved.
 func TestTimelineDedup(t *testing.T) {
-	a := mc.MustTaskSlab(1, "a", 10, []float64{2})
-	b := mc.MustTaskSlab(2, "b", 20, []float64{4, 6})
-	c := mc.MustTaskSlab(3, "c", 40, []float64{8})
+	a := mc.MustTask(1, "a", 10, 2)
+	b := mc.MustTask(2, "b", 20, 4, 6)
+	c := mc.MustTask(3, "c", 40, 8)
 
 	tl := NewTimeline(2)
 	tl.ObserveCore(nil)
@@ -48,10 +48,10 @@ func TestTimelineDedup(t *testing.T) {
 // and checks the oracle plumbing end to end.
 func TestTimelineRun(t *testing.T) {
 	tl := NewTimeline(2)
-	tl.ObserveCore(tlSet(mc.MustTaskSlab(1, "", 10, []float64{1})))
+	tl.ObserveCore(tlSet(mc.MustTask(1, "", 10, 1)))
 	tl.ObserveCore(tlSet(
-		mc.MustTaskSlab(1, "", 10, []float64{1}),
-		mc.MustTaskSlab(2, "", 20, []float64{2, 4}),
+		mc.MustTask(1, "", 10, 1),
+		mc.MustTask(2, "", 20, 2, 4),
 	))
 	st := tl.Run(SystemConfig{Horizon: 200})
 	if len(st.Cores) != 2 {

@@ -1,8 +1,8 @@
 package taskgen
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -20,15 +20,26 @@ import (
 //     band of Table IV (after the cap at 1), and so the aggregate
 //     level-1 utilization lands within the band implied by the
 //     requested NSU;
-//   - (seed, index)-addressed generation is deterministic.
+//   - (seed, index)-addressed generation is deterministic;
+//   - a config that Validate rejects makes generation panic with that
+//     error. rawAt selects a real parameter (NSU, IFC.Hi or the first
+//     period range's Hi) that takes the unconstrained value raw, NaN
+//     and the infinities included; every raw value Validate accepts
+//     must still yield a valid set.
 func FuzzGenerate(f *testing.F) {
 	// The paper's default point (M=8, K=4, NSU=0.6, IFC=0.4).
-	f.Add(int64(1), uint8(8), uint8(4), uint8(40), uint8(160), uint16(600), uint8(40), uint8(0))
+	f.Add(int64(1), uint8(8), uint8(4), uint8(40), uint8(160), uint16(600), uint8(40), uint8(0), 0.0, uint8(0))
 	// Degenerate single-core, single-level, single-task family.
-	f.Add(int64(42), uint8(1), uint8(1), uint8(1), uint8(0), uint16(100), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(1), uint8(1), uint8(1), uint8(0), uint16(100), uint8(0), uint8(0), 0.0, uint8(0))
 	// Overload: NSU close to the cap with a wide IFC range.
-	f.Add(int64(7), uint8(4), uint8(5), uint8(10), uint8(20), uint16(1900), uint8(150), uint8(99))
-	f.Fuzz(func(t *testing.T, seed int64, mB, kB, nLoB, nSpanB uint8, nsuPm uint16, ifcLoB, ifcSpanB uint8) {
+	f.Add(int64(7), uint8(4), uint8(5), uint8(10), uint8(20), uint16(1900), uint8(150), uint8(99), 0.0, uint8(0))
+	// Raw parameters: a NaN NSU, an infinite IFC bound, a huge period,
+	// an NSU so small that c(1) would underflow.
+	f.Add(int64(3), uint8(8), uint8(4), uint8(40), uint8(160), uint16(600), uint8(40), uint8(0), math.NaN(), uint8(1))
+	f.Add(int64(3), uint8(8), uint8(4), uint8(40), uint8(160), uint16(600), uint8(40), uint8(0), math.Inf(1), uint8(2))
+	f.Add(int64(3), uint8(8), uint8(4), uint8(40), uint8(160), uint16(600), uint8(40), uint8(0), 1e300, uint8(3))
+	f.Add(int64(3), uint8(0), uint8(4), uint8(199), uint8(0), uint16(600), uint8(40), uint8(0), 5e-324, uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, mB, kB, nLoB, nSpanB uint8, nsuPm uint16, ifcLoB, ifcSpanB uint8, raw float64, rawAt uint8) {
 		cfg := Config{
 			M:       1 + int(mB%16),
 			K:       1 + int(kB%8),
@@ -39,11 +50,28 @@ func FuzzGenerate(f *testing.F) {
 		}
 		cfg.N.Hi = cfg.N.Lo + int(nSpanB%100)
 		cfg.IFC.Hi = cfg.IFC.Lo + float64(ifcSpanB%100)/100
+		switch rawAt % 4 {
+		case 1:
+			cfg.NSU = raw
+		case 2:
+			cfg.IFC.Hi = raw
+		case 3:
+			cfg.Periods[0].Hi = raw
+		}
 		if err := cfg.Validate(); err != nil {
-			t.Fatalf("constructed config does not validate: %v", err)
+			if rawAt%4 == 0 {
+				t.Fatalf("constructed config does not validate: %v", err)
+			}
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Fatalf("invalid config: Generate panicked with %v, want %v", r, err)
+				}
+			}()
+			GenerateIndexed(&cfg, seed, 0)
+			return
 		}
 
-		ts := Generate(&cfg, rand.New(rand.NewSource(seed)))
+		ts := GenerateIndexed(&cfg, seed, 0)
 		if err := ts.Validate(); err != nil {
 			t.Fatalf("generated set invalid: %v\nconfig: %+v", err, cfg)
 		}

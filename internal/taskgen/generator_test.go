@@ -27,10 +27,11 @@ func sameSet(t *testing.T, ctx string, a, b *mc.TaskSet) {
 	}
 }
 
-// TestGeneratorMatchesGenerateIndexed asserts the reusable Generator
-// regenerates exactly the task set of the one-shot GenerateIndexed for
-// every (seed, idx), including when indices are revisited out of order
-// after the internal arena has been resized by larger sets.
+// TestGeneratorMatchesGenerateIndexed asserts a reused Generator
+// regenerates exactly the task set of the one-shot GenerateIndexed (a
+// fresh Generator) for every (seed, idx), including when indices are
+// revisited out of order after the internal arena has been resized by
+// larger sets.
 func TestGeneratorMatchesGenerateIndexed(t *testing.T) {
 	gen := taskgen.NewGenerator()
 	for _, k := range []int{2, 4, 6} {
@@ -69,7 +70,8 @@ func TestGeneratorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestGeneratorValidates mirrors the legacy entry points' config check.
+// TestGeneratorValidates: a reused Generator checks the config on every
+// call, as GenerateIndexed does.
 func TestGeneratorValidates(t *testing.T) {
 	cfg := taskgen.DefaultConfig()
 	cfg.NSU = -1

@@ -17,7 +17,6 @@ package taskgen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"catpa/internal/mc"
 )
@@ -30,21 +29,9 @@ type Range struct {
 // Contains reports whether v lies in the range (inclusive).
 func (r Range) Contains(v float64) bool { return v >= r.Lo && v <= r.Hi }
 
-// sample draws uniformly from the range.
-func (r Range) sample(rng *rand.Rand) float64 {
-	return r.Lo + rng.Float64()*(r.Hi-r.Lo)
-}
-
 // IntRange is a closed integer interval.
 type IntRange struct {
 	Lo, Hi int
-}
-
-func (r IntRange) sample(rng *rand.Rand) int {
-	if r.Hi <= r.Lo {
-		return r.Lo
-	}
-	return r.Lo + rng.Intn(r.Hi-r.Lo+1)
 }
 
 // DefaultPeriodRanges are the three period ranges of Table IV.
@@ -92,7 +79,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: every real parameter must be
+// finite, every range non-empty, and NSU large enough that no c(1)
+// draw underflows to zero. The generator builds tasks with
+// mc.TaskSlabTrusted, so this check is what keeps them valid.
 func (c *Config) Validate() error {
 	switch {
 	case c.M < 1:
@@ -101,51 +91,49 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("taskgen: K=%d < 1", c.K)
 	case c.N.Lo < 1 || c.N.Hi < c.N.Lo:
 		return fmt.Errorf("taskgen: invalid N range [%d,%d]", c.N.Lo, c.N.Hi)
+	case !isFinite(c.NSU):
+		return fmt.Errorf("taskgen: NSU=%v is not finite", c.NSU)
 	case c.NSU <= 0:
 		return fmt.Errorf("taskgen: NSU=%v <= 0", c.NSU)
+	case !c.IFC.finite():
+		return fmt.Errorf("taskgen: IFC range [%v,%v] is not finite", c.IFC.Lo, c.IFC.Hi)
 	case c.IFC.Lo < 0 || c.IFC.Hi < c.IFC.Lo:
 		return fmt.Errorf("taskgen: invalid IFC range [%v,%v]", c.IFC.Lo, c.IFC.Hi)
 	case len(c.Periods) == 0:
 		return fmt.Errorf("taskgen: no period ranges")
 	}
+	// The smallest c(1) the generator can draw, rounded in the same
+	// order as drawTask's (0.2 + f*1.6) * p * uBase: rounding is
+	// monotone, so if this is positive every draw is.
+	uMin := c.NSU * float64(c.M) / float64(c.N.Hi)
 	for _, p := range c.Periods {
+		if !p.finite() {
+			return fmt.Errorf("taskgen: period range [%v,%v] is not finite", p.Lo, p.Hi)
+		}
 		if p.Lo <= 0 || p.Hi < p.Lo {
 			return fmt.Errorf("taskgen: invalid period range [%v,%v]", p.Lo, p.Hi)
+		}
+		if 0.2*p.Lo*uMin <= 0 {
+			return fmt.Errorf("taskgen: NSU=%v is too small: c(1) underflows to 0", c.NSU)
 		}
 	}
 	return nil
 }
 
-// Generate produces one task set from the config using the given
-// random source. WCET vectors are capped so that no task's own-level
-// utilization exceeds 1 (an unschedulable-by-construction task would
-// make the whole set trivially infeasible for every heuristic and
-// carry no information; the paper's parameters make such draws rare).
-func Generate(cfg *Config, rng *rand.Rand) *mc.TaskSet {
-	if err := cfg.Validate(); err != nil {
-		//lint:ignore mclint/panicmsg Validate errors already carry the "taskgen: " prefix
-		panic(err)
-	}
-	n := cfg.N.sample(rng)
-	uBase := cfg.NSU * float64(cfg.M) / float64(n)
-	ts := mc.NewTaskSetCap(n)
-	for i := 0; i < n; i++ {
-		ts.Tasks = append(ts.Tasks, genTask(cfg, rng, i+1, uBase))
-	}
-	return ts
-}
+// finite reports whether both bounds are finite.
+func (r Range) finite() bool { return isFinite(r.Lo) && isFinite(r.Hi) }
 
 // GenerateIndexed produces the idx-th task set of a replicated
 // experiment rooted at baseSeed. Each index gets an independent,
 // deterministic stream, so replication can be parallelized while
-// remaining reproducible.
+// remaining reproducible. The set owns its storage: it is a fresh
+// Generator's output, which no later call reuses.
 func GenerateIndexed(cfg *Config, baseSeed int64, idx int) *mc.TaskSet {
-	rng := rand.New(newSplitmix(mix(baseSeed, int64(idx))))
-	return Generate(cfg, rng)
+	return NewGenerator().Generate(cfg, baseSeed, idx)
 }
 
-// splitmix is the SplitMix64 random source behind GenerateIndexed and
-// Generator (rand.Source64). Seeding is one word where the stdlib
+// splitmix is the SplitMix64 random source behind Generator and
+// StreamBuilder (rand.Source64). Seeding is one word where the stdlib
 // source refills a 607-word table per Seed — a cost that dominated
 // per-set generation in the sweep hot loop, since every set of a
 // replicated experiment reseeds for its independent stream.
@@ -211,46 +199,14 @@ func (s *splitmix) intn(n int) int {
 	return int(v % int32(n))
 }
 
-// genTask draws one task: the period-range pick, the period, the c(1)
-// factor, the criticality and the IFC, in that order.
-func genTask(cfg *Config, rng *rand.Rand, id int, uBase float64) mc.Task {
-	pr := cfg.Periods[rng.Intn(len(cfg.Periods))]
-	p := pr.sample(rng)
-	c1 := (0.2 + rng.Float64()*1.6) * p * uBase
-	crit := 1 + rng.Intn(cfg.K)
-	ifc := cfg.IFC.sample(rng)
-	w := make([]float64, crit)
-	c := c1
-	for k := 0; k < crit; k++ {
-		w[k] = c
-		c *= 1 + ifc
-	}
-	// Cap the own-level utilization at 1 by truncating the WCET
-	// growth; the level-1 value is preserved so NSU stays exact.
-	for k := 1; k < crit; k++ {
-		if w[k] > p {
-			w[k] = p
-		}
-	}
-	if w[0] > p {
-		w[0] = p
-		for k := 1; k < crit; k++ {
-			w[k] = p
-		}
-	}
-	// The draws above enforce every Task invariant structurally:
-	// positive period, positive geometrically non-decreasing WCETs,
-	// own-level utilization capped at 1 by the period clamp.
-	return mc.TaskSlabTrusted(id, p, w)
-}
-
 // Generator amortizes workload generation: it owns a reusable seeded
-// random source, a task-slice buffer, and a WCET arena from which each
-// task's vector is carved (mc.MustTaskSlab), so that steady-state
-// generation performs no heap allocations. For a given (cfg, baseSeed,
-// idx) it produces exactly the task set of GenerateIndexed, bit for
-// bit — the experiment harness relies on this to keep parallel sweeps
-// deterministic while reusing one Generator per worker.
+// splitmix source, a task-slice buffer, and a WCET arena from which
+// each task's vector is carved (mc.TaskSlabTrusted), so that
+// steady-state generation performs no heap allocations. For a given
+// (cfg, baseSeed, idx) it produces exactly the task set of
+// GenerateIndexed, bit for bit — the experiment harness relies on this
+// to keep parallel sweeps deterministic while reusing one Generator
+// per worker.
 //
 // The returned task set and every task's WCET vector alias the
 // generator's internal storage: they are valid only until the next
@@ -268,9 +224,10 @@ func NewGenerator() *Generator {
 }
 
 // Generate produces the idx-th task set of the replicated experiment
-// rooted at baseSeed, identical to GenerateIndexed(cfg, baseSeed, idx)
-// but reusing all internal storage. See the type comment for the
-// aliasing contract.
+// rooted at baseSeed, reusing all internal storage. See the type
+// comment for the aliasing contract. Each task's WCET vector is cut
+// from the arena with its capacity capped at K, so appending to one
+// vector reallocates it instead of overwriting the next task's.
 //
 // Draws go through the source's direct float64/intn replicas of the
 // rand.Rand algorithms — the same values in the same order, without
@@ -289,8 +246,8 @@ func (g *Generator) Generate(cfg *Config, baseSeed int64, idx int) *mc.TaskSet {
 	uBase := cfg.NSU * float64(cfg.M) / float64(n)
 	g.sizeFor(n, cfg.K)
 	for i := 0; i < n; i++ {
-		w := g.arena[i*cfg.K : i*cfg.K+cfg.K]
-		g.ts.Tasks = append(g.ts.Tasks, genTaskDirect(cfg, src, i+1, uBase, w))
+		w := g.arena[i*cfg.K : i*cfg.K+cfg.K : i*cfg.K+cfg.K]
+		g.ts.Tasks = append(g.ts.Tasks, drawTask(cfg, src, i+1, uBase, w))
 	}
 	return &g.ts
 }
@@ -309,13 +266,18 @@ func (g *Generator) sizeFor(n, k int) {
 	g.ts.Tasks = g.ts.Tasks[:0]
 }
 
-// genTaskDirect is genTask drawing straight from the splitmix source:
-// the draw sequence — period-range pick, period, c(1) factor,
-// criticality, IFC — replicates genTask's rand.Rand calls value for
-// value, so Generator output stays bitwise GenerateIndexed's.
+// drawTask draws one task into w: the period-range pick, the period,
+// the c(1) factor, the criticality and the IFC, in that order. WCETs
+// grow by (1+IFC) per level, truncated at the period so that no
+// task's own-level utilization exceeds 1 (an unschedulable-by-
+// construction task would make the whole set trivially infeasible for
+// every heuristic and carry no information; the paper's parameters
+// make such draws rare). With a valid Config this enforces every Task
+// invariant structurally, which is why mc.TaskSlabTrusted may skip
+// validation.
 //
 //mc:allocfree slab-backed task construction
-func genTaskDirect(cfg *Config, src *splitmix, id int, uBase float64, w []float64) mc.Task {
+func drawTask(cfg *Config, src *splitmix, id int, uBase float64, w []float64) mc.Task {
 	pr := cfg.Periods[src.intn(len(cfg.Periods))]
 	p := pr.Lo + src.float64()*(pr.Hi-pr.Lo)
 	c1 := (0.2 + src.float64()*1.6) * p * uBase
