@@ -240,7 +240,10 @@ func (w *onlineWorker) replay(jb *job, part *partition.Partitioner, scheme parti
 		if e.Arrive {
 			arrivals++
 			_, ok := part.Admit(e.Task)
-			oc.AdmitOverTime[b].Add(ok)
+			// buckets*bw can round below the horizon, so an arrival in
+			// that last ulp has closed every bucket; it counts in the
+			// last one.
+			oc.AdmitOverTime[min(b, buckets-1)].Add(ok)
 			if ok {
 				admitted++
 				occ++

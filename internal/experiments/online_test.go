@@ -327,3 +327,31 @@ func TestOnlineScenarioZeroAllocs(t *testing.T) {
 		t.Fatalf("online evalSet allocates %v times per replication, want 0", allocs)
 	}
 }
+
+// TestOnlineReplayLastUlpArrival replays a hand-built stream whose one
+// arrival lands after buckets*(Horizon/buckets), which rounds below the
+// horizon for Horizon 7.03 and 3 buckets: the arrival has closed every
+// bucket, and its verdict must count in the last one instead of
+// indexing past the bucket slab.
+func TestOnlineReplayLastUlpArrival(t *testing.T) {
+	o := &OnlineScenario{Process: taskgen.Poisson{Rate: 1, MeanLifetime: 1}, Horizon: 7.03, Buckets: 3}
+	at := math.Nextafter(o.Horizon, 0)
+	if bw := o.Horizon / 3; 3*bw > at {
+		t.Fatalf("3*(%v/3) = %v does not round below the arrival at %v", o.Horizon, 3*bw, at)
+	}
+	variants := []Variant{{Scheme: partition.CATPA}}
+	opts := partition.Options{}
+	jb := job{m: 2, k: 2, opts: &opts, variants: variants, groups: buildGroups(variants), row: make([]Cell, 1)}
+	w := o.newWorker().(*onlineWorker)
+	w.arm(&jb)
+	ts := mc.NewTaskSet(mc.MustTask(0, "hi", 10, 1, 2), mc.MustTask(0, "lo", 20, 3))
+	events := []taskgen.Event{{Time: at, Task: 0, Arrive: true}}
+	w.replay(&jb, w.parts[jb.groups[0].backend], partition.CATPA, ts, events, 0)
+	oc := jb.row[0].Online
+	if n, hits := oc.Admitted.N(), oc.Admitted.Hits(); n != 1 || hits != 1 {
+		t.Fatalf("admitted %d of %d arrivals, want 1 of 1", hits, n)
+	}
+	if last := &oc.AdmitOverTime[2]; last.N() != 1 || last.Hits() != 1 {
+		t.Fatalf("last bucket holds %d of %d verdicts, want 1 of 1", last.Hits(), last.N())
+	}
+}

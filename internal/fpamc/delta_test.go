@@ -69,8 +69,9 @@ func checkHandResponses(t *testing.T, b *Backend, c int) {
 // in-priority-order placement (each commit touches no earlier member)
 // and the out-of-order placement (committing tau1 displaces tau2's
 // rank and warm-recomputes its responses). Both must land on the same
-// hand values, and removal must trigger the exact-recompute fallback
-// whose rebuilt responses are again hand-checkable.
+// hand values, and removal must schedule the exact-recompute fallback
+// — re-summing the load at once, deferring the fixed points to the
+// next probe — whose rebuilt responses are again hand-checkable.
 func TestBackendDeltaHandComputed(t *testing.T) {
 	ts := handSet()
 
@@ -105,10 +106,12 @@ func TestBackendDeltaHandComputed(t *testing.T) {
 			}
 
 			// Remove the highest-priority task: the removal delta must
-			// schedule the fallback (dirty), and the rebuilt core must
-			// hold the hand responses of the surviving pair: tau1 alone
-			// at rank 0 (R_LO = 2), tau2 with one tau1 hit
-			// (R_LO = 3 + ceil(5/12)*2 = 5, R_HI = 6,
+			// schedule the fallback (dirty) and re-sum the load over the
+			// survivors in placement order at once, so the load reads
+			// answer without running it. The next probe runs it, and
+			// the rebuilt core must hold the hand responses of the
+			// surviving pair: tau1 alone at rank 0 (R_LO = 2), tau2
+			// with one tau1 hit (R_LO = 3 + ceil(5/12)*2 = 5, R_HI = 6,
 			// R* = 6 + ceil(5/12)*2 = 8).
 			b.Remove(0, 0)
 			if !b.dirty[0] {
@@ -121,8 +124,17 @@ func TestBackendDeltaHandComputed(t *testing.T) {
 			if got := b.OwnLoad(0); got != wantLoad {
 				t.Errorf("post-removal OwnLoad = %v, want %v", got, wantLoad)
 			}
+			if got := b.CoreUtil(0); got != wantLoad {
+				t.Errorf("post-removal CoreUtil = %v, want %v", got, wantLoad)
+			}
+			if !b.dirty[0] {
+				t.Fatal("a load read ran the deferred rebuild")
+			}
+			if !b.FeasibleWith(0, 0) {
+				t.Fatal("tau0 rejected beside the surviving pair it was schedulable with")
+			}
 			if b.dirty[0] {
-				t.Fatal("query left the core dirty; the fallback did not run")
+				t.Fatal("probe left the core dirty; the fallback did not run")
 			}
 			wantLO := map[int]float64{1: 2, 2: 5}
 			for j, ti := range b.cores[0] {
@@ -326,8 +338,17 @@ func TestDeltaSuffixRebuildHandComputed(t *testing.T) {
 		if got := b.OwnLoad(0); got != want {
 			t.Errorf("OwnLoad = %v, want %v", got, want)
 		}
+		if got := b.CoreUtil(0); got != want {
+			t.Errorf("CoreUtil = %v, want %v", got, want)
+		}
+		if b.from[0] != 1 {
+			t.Fatal("a load read ran the deferred suffix rebuild")
+		}
+		if !b.FeasibleWith(0, 1) {
+			t.Fatal("tau1 rejected beside the pair it was schedulable with")
+		}
 		if b.from[0] != -1 {
-			t.Fatal("query left the suffix mark set")
+			t.Fatal("probe left the suffix mark set")
 		}
 		if b.rLO[0][0] != -1 || b.rHI[0][0] != -2 || b.rTR[0][0] != -3 {
 			t.Fatalf("suffix rebuild recomputed tau0: (%v, %v, %v)", b.rLO[0][0], b.rHI[0][0], b.rTR[0][0])
@@ -376,7 +397,9 @@ func TestDeltaSuffixRebuildHandComputed(t *testing.T) {
 	t.Run("after-forced-place", func(t *testing.T) {
 		b := fillHand(t, handSetPlus())
 		b.Place(0, 3)
-		b.OwnLoad(0) // rebuild: clean but unschedulable
+		if b.FeasibleWith(0, 3) { // rebuild: clean but unschedulable
+			t.Fatal("a core holding tau3 beside tau0 accepted a probe")
+		}
 		if b.dirty[0] || b.allOK[0] {
 			t.Fatalf("after the rebuild: dirty=%v allOK=%v, want clean and unschedulable", b.dirty[0], b.allOK[0])
 		}

@@ -62,13 +62,16 @@ const BackendName = "amcrtb"
 // argument in the other direction, but only for the tasks below the
 // removed one: on a clean, schedulable core Remove keeps the
 // higher-priority members' stored responses (their interference sets
-// did not change) and marks the core so the next query recomputes cold
-// only the members of the removed rank and below. A dirty or
-// unschedulable core, a removed rank-0 task, a forced infeasible Place
-// and Reanalyze take the full cold rebuild of ranks, loads and
-// responses from the surviving members in placement order — the
+// did not change) and marks the core so the next probe of it
+// recomputes cold only the members of the removed rank and below. A
+// dirty or unschedulable core, a removed rank-0 task, a forced
+// infeasible Place and Reanalyze take the full cold rebuild of ranks
+// and responses from the surviving members in placement order — the
 // reference path the differential gates compare the incremental path
-// against.
+// against. The per-core sums are never stale: Remove re-sums them over
+// the survivors in placement order at once, so the load reads never
+// rebuild, repeated removals from a core coalesce into one rebuild,
+// and a core the load-margin prune skips is never rebuilt at all.
 //
 // Every verdict remains identical to Schedulable on the corresponding
 // task slice: the demand sums run in the same trial-index order (the
@@ -96,8 +99,9 @@ type Backend struct {
 	cores [][]int   // per-core placed task indices, in allocation order
 	loads []float64 // per-core Eq. 4 own-level load (sum MaxUtil)
 	// Per-core screen sums in placement order: level-1 utilization of
-	// every member and level-2 utilization of the HI members. Commit
-	// adds to them and a rebuild re-sums them; nothing subtracts.
+	// every member and level-2 utilization of the HI members. Place
+	// adds to them, like to loads, and Remove re-sums all three over
+	// the survivors; nothing subtracts.
 	lu1, lu2 []float64
 
 	// Committed incremental state, all aligned with cores[c]:
@@ -108,7 +112,7 @@ type Backend struct {
 	rLO   [][]float64
 	rHI   [][]float64
 	rTR   [][]float64
-	dirty []bool // core must be rebuilt cold, ranks included, before the next query
+	dirty []bool // core must be rebuilt cold, ranks included, before the next probe
 	from  []int  // lowest stale rank after a suffix-only Remove, -1 when none
 	allOK []bool // every committed task met its deadline bound
 
@@ -246,10 +250,10 @@ func (b *Backend) Begin() {
 	b.pOK = false
 }
 
-// ensure brings core c's incremental state up to date before a query:
-// the full cold rebuild after a forced infeasible placement, a removal
-// from a dirty or unschedulable core, or Reanalyze; the suffix-only
-// rebuild after a removal from a clean, schedulable core.
+// ensure brings core c's ranks and responses up to date before a
+// probe: the full cold rebuild after a forced infeasible placement, a
+// removal from a dirty or unschedulable core, or Reanalyze; the
+// suffix-only rebuild after a removal from a clean, schedulable core.
 //
 //mc:allocfree inlineable guard around the rebuild
 func (b *Backend) ensure(c int) {
@@ -259,13 +263,13 @@ func (b *Backend) ensure(c int) {
 }
 
 // rebuild is ensure's slow path, split out so the clean-path guard
-// inlines into every query. A dirty core re-sorts its ranks with the
+// inlines into every probe. A dirty core re-sorts its ranks with the
 // same stable insertion sort the batch path uses and recomputes every
 // response; a suffix-marked core keeps its ranks and the responses
 // above the marked rank. Either way the recomputed fixed points run
-// cold and the loads re-accumulate in placement order, reproducing
-// bitwise the values the incremental commits would have left (see the
-// type comment for why warm and cold meet in the same bits).
+// cold, reproducing bitwise the values the incremental commits would
+// have left (see the type comment for why warm and cold meet in the
+// same bits).
 //
 //mc:allocfree rebuilds into amortized per-core storage
 func (b *Backend) rebuild(c int) {
@@ -295,15 +299,6 @@ func (b *Backend) rebuild(c int) {
 			b.ranks[c][i] = pos
 		}
 	}
-	load, lu1, lu2 := 0.0, 0.0, 0.0
-	for _, t := range mem {
-		load += b.u2[t]
-		lu1 += b.u1[t]
-		if b.hi[t] {
-			lu2 += b.u2[t]
-		}
-	}
-	b.loads[c], b.lu1[c], b.lu2[c] = load, lu1, lu2
 	ok := true
 	for j := 0; j < n; j++ {
 		rank := b.ranks[c][j]
@@ -472,12 +467,32 @@ func (b *Backend) commit(c, ti int) {
 	b.rLO[c] = append(b.rLO[c], b.pcLO)
 	b.rHI[c] = append(b.rHI[c], b.pcHI)
 	b.rTR[c] = append(b.rTR[c], b.pcTR)
+	b.addSums(c, ti)
+	b.pOK = false
+}
+
+// addSums folds task ti into core c's load and screen sums, the step
+// refold repeats per member.
+//
+//mc:allocfree three scalar adds
+func (b *Backend) addSums(c, ti int) {
 	b.loads[c] += b.u2[ti]
 	b.lu1[c] += b.u1[ti]
-	if candHI {
+	if b.hi[ti] {
 		b.lu2[c] += b.u2[ti]
 	}
-	b.pOK = false
+}
+
+// refold re-sums core c's load and screen sums over its members in
+// placement order: bitwise the sums Place's adds would have left on a
+// core that only ever held those members.
+//
+//mc:allocfree one pass over the core's members
+func (b *Backend) refold(c int) {
+	b.loads[c], b.lu1[c], b.lu2[c] = 0, 0, 0
+	for _, t := range b.cores[c] {
+		b.addSums(c, t)
+	}
 }
 
 // FeasibleWith is partition.Backend's FeasibleWith: it reports whether core
@@ -495,12 +510,11 @@ func (b *Backend) FeasibleWith(c, ti int) bool {
 // with task ti added, +Inf when the extended subset fails AMC-rtb.
 // The load sum is exact whenever the probe is feasible, so it is its
 // own certified floor: the margin prune compares it before running the
-// response-time fixed points, and a pruned call leaves the probe
-// scratch untouched.
+// response-time fixed points (and before any pending rebuild of the
+// core), and a pruned call leaves the probe scratch untouched.
 //
 //mc:allocfree delegates to the scratch-based incremental probe
 func (b *Backend) ProbeUtil(c, ti int, base, margin float64) float64 {
-	b.ensure(c)
 	load := b.loads[c] + b.u2[ti]
 	if load-base >= margin || !b.probe(c, ti) {
 		return math.Inf(1)
@@ -523,22 +537,23 @@ func (b *Backend) Place(c, ti int) {
 		return
 	}
 	b.cores[c] = append(b.cores[c], ti)
-	b.loads[c] += b.u2[ti]
+	b.addSums(c, ti)
 	b.dirty[c] = true
 	b.pOK = false
 }
 
-// Remove is partition.Backend's Remove. Removal shrinks the demand sums
-// of the removed task's lower-priority members only, so on a clean,
-// schedulable core it deletes the member's entry, closes the rank gap,
-// and marks the core so the next query recomputes cold just the
-// members at the removed rank and below (and re-sums the loads in
-// placement order); the higher-priority members' stored responses are
-// already bitwise what a cold recompute gives. A dirty or
-// unschedulable core, or a removed rank-0 task, takes the full
-// rebuild instead.
+// Remove is partition.Backend's Remove. It re-sums the core's load and
+// screen sums over the survivors in placement order at once, and
+// defers the fixed points to the next probe of the core. Removal
+// shrinks the demand sums of the removed task's lower-priority members
+// only, so on a clean, schedulable core it deletes the member's entry,
+// closes the rank gap, and marks the core so that probe recomputes
+// cold just the members at the removed rank and below; the
+// higher-priority members' stored responses are already bitwise what a
+// cold recompute gives. A dirty or unschedulable core, or a removed
+// rank-0 task, takes the full rebuild instead.
 //
-//mc:allocfree in-place deletes and a rebuild mark; panic path exempt
+//mc:allocfree in-place deletes, a re-sum and a rebuild mark; panic path exempt
 func (b *Backend) Remove(c, ti int) {
 	b.pOK = false
 	mem := b.cores[c]
@@ -547,6 +562,7 @@ func (b *Backend) Remove(c, ti int) {
 			continue
 		}
 		b.cores[c] = deleteAt(mem, i)
+		b.refold(c)
 		if b.dirty[c] || !b.allOK[c] || b.ranks[c][i] == 0 {
 			b.dirty[c] = true
 			return
@@ -571,30 +587,30 @@ func (b *Backend) Remove(c, ti int) {
 }
 
 // Reanalyze is partition.Backend's Reanalyze: it discards core c's cached
-// ranks and responses and rebuilds them cold from the committed
+// sums, ranks and responses and rebuilds them cold from the committed
 // members, unconditionally.
 //
-//mc:allocfree forces the cold rebuild
+//mc:allocfree forces the re-sum and the cold rebuild
 func (b *Backend) Reanalyze(c int) {
 	b.dirty[c] = true
 	b.pOK = false
+	b.refold(c)
 	b.ensure(c)
 }
 
-// OwnLoad is partition.Backend's OwnLoad.
+// OwnLoad is partition.Backend's OwnLoad: the committed own-level load,
+// current even while a rebuild of the core is pending.
 //
-//mc:allocfree accessor behind the rebuild check
+//mc:allocfree cached scalar read
 func (b *Backend) OwnLoad(c int) float64 {
-	b.ensure(c)
 	return b.loads[c]
 }
 
 // CoreUtil is partition.Backend's CoreUtil: the committed own-level
 // load, the metric ProbeUtil answers with.
 //
-//mc:allocfree accessor behind the rebuild check
+//mc:allocfree cached scalar read
 func (b *Backend) CoreUtil(c int) float64 {
-	b.ensure(c)
 	return b.loads[c]
 }
 

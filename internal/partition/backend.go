@@ -44,10 +44,11 @@ import (
 // exact O(1) delta is unavailable (floating-point subtraction is not
 // an exact inverse of addition), the backend marks the core and falls
 // back to an exact recompute — replaying the surviving members'
-// deltas in placement order — before the next query. Reanalyze forces
-// that fallback unconditionally; it is the reference path the
-// differential gates (FuzzIncrementalAgreement, the delta unit tests)
-// compare the incremental path against. Bit-identity invariant: a
+// deltas in placement order — before the next query that reads it.
+// Reanalyze forces that fallback unconditionally; it is the reference
+// path the differential gates (FuzzIncrementalAgreement, the delta
+// unit tests) compare the incremental path against. Bit-identity
+// invariant: a
 // query on a core must return bitwise the same value whether the
 // core's state was built incrementally, restored by an exact undo, or
 // rebuilt through Reanalyze.
@@ -110,8 +111,9 @@ type Backend interface {
 	// of the online admit/release protocol. Implementations undo the
 	// placement exactly — bitwise — by scheduling a recompute over the
 	// core's surviving members (all of it, or only the state the
-	// removal can change), which the next query on c runs. Removing a
-	// task that is not committed on c panics.
+	// removal can change), which runs before the next query on c that
+	// reads that state. Removing a task that is not committed on c
+	// panics.
 	Remove(c, ti int)
 
 	// Reanalyze discards core c's incremental analysis state and

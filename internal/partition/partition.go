@@ -37,6 +37,10 @@ type allocator struct {
 	// instead of an O(m) rescan.
 	uMax, uMin float64
 
+	// verdict memoizes pickLeastLoaded's per-core probes within one
+	// call: unprobed, feasible or infeasible.
+	verdict []int8
+
 	// Per-task state.
 	assign []int // task -> core
 
@@ -82,6 +86,7 @@ func (a *allocator) reset(m, k int) {
 	a.m, a.k = m, k
 	a.utils = resize(a.utils, m)
 	a.ownLoad = resize(a.ownLoad, m)
+	a.verdict = resize(a.verdict, m)
 	if cap(a.tasks) < m {
 		tasks := make([][]int, m)
 		copy(tasks, a.tasks)
@@ -356,23 +361,90 @@ func (a *allocator) pickMinIncrement(ti int) int {
 	return best
 }
 
+// pickLeastLoaded's per-core probe memo states.
+const (
+	unprobed int8 = iota
+	probedFeasible
+	probedInfeasible
+)
+
 // pickLeastLoaded returns the feasible core with minimum current core
-// utilization (the imbalance fallback), ties broken by smaller index.
+// utilization (the imbalance fallback), or -1: the core an index-order
+// scan picks when a feasible core displaces the incumbent only if its
+// load is below the incumbent's by more than Eps. Core loads are
+// finite: they are the utilizations of committed, schedulable subsets.
 //
-//mc:allocfree the imbalance fallback scan
+// It probes in load order instead of index order. First it probes the
+// least-loaded unprobed core until one is feasible (load u*): every
+// core probed before it is infeasible, and every other core is loaded
+// at least u*. Then it grows a chain upward from u*, raising top to
+// each next distinct load u while top < u-Eps fails. A feasible core
+// above top can never displace a chain core (its load exceeds the
+// incumbent's), and every feasible chain core displaces it (u <= top <
+// its load - Eps), so the index-order scan over the chain cores alone
+// — which holds u*'s core — picks what the scan over every core picks.
+// That scan probes each chain core at most once, reusing the verdicts
+// of the first phase.
+//
+//mc:allocfree the imbalance fallback scan over a reused memo
 func (a *allocator) pickLeastLoaded(ti int) int {
+	verdict := a.verdict
+	clear(verdict)
+	var top float64
+	for {
+		c := -1
+		for d, v := range verdict {
+			if v == unprobed && (c < 0 || a.utils[d] < a.utils[c]) {
+				c = d
+			}
+		}
+		if c < 0 {
+			return -1 // every core is infeasible
+		}
+		if a.probe(c, ti) {
+			verdict[c] = probedFeasible
+			top = a.utils[c]
+			break
+		}
+		verdict[c] = probedInfeasible
+	}
+	for {
+		next := math.Inf(1)
+		for _, u := range a.utils {
+			if u > top && u < next {
+				next = u
+			}
+		}
+		if top < next-mc.Eps {
+			break
+		}
+		top = next
+	}
 	best := -1
 	bestU := math.Inf(1)
-	for c := 0; c < a.m; c++ {
-		if a.utils[c] >= bestU-mc.Eps {
+	for c, u := range a.utils {
+		if u > top || u >= bestU-mc.Eps {
 			continue
 		}
-		if math.IsInf(a.be.ProbeUtil(c, ti, 0, math.Inf(1)), 1) {
-			continue
+		if verdict[c] == unprobed {
+			verdict[c] = probedInfeasible
+			if a.probe(c, ti) {
+				verdict[c] = probedFeasible
+			}
 		}
-		best, bestU = c, a.utils[c]
+		if verdict[c] == probedFeasible {
+			best, bestU = c, u
+		}
 	}
 	return best
+}
+
+// probe reports whether core c can take ti, through the plain
+// ProbeUtil so the backend may reuse the analysis on Place.
+//
+//mc:allocfree one unpruned backend probe
+func (a *allocator) probe(c, ti int) bool {
+	return !math.IsInf(a.be.ProbeUtil(c, ti, 0, math.Inf(1)), 1)
 }
 
 // finishInto assembles the run's Result into r, reusing r's storage.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Event is one entry of an online scenario's merged event stream: task
@@ -64,7 +64,7 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 const arrivalSalt = 0x6A09E667F3BCC909
 
 // StreamBuilder amortizes event-stream construction: it owns a seeded
-// source and a reusable event slab, so building the stream of one
+// source and reusable event slabs, so building the stream of one
 // replication performs no heap allocations in the steady state. Like
 // Generator, a StreamBuilder must not be shared between goroutines,
 // and the returned slice aliases internal storage valid until the next
@@ -73,6 +73,7 @@ type StreamBuilder struct {
 	src    *splitmix
 	rng    *rand.Rand
 	events []Event
+	deps   []Event // departure scratch, merged into events
 }
 
 // NewStreamBuilder returns an empty builder; the seed is installed per
@@ -109,7 +110,10 @@ func (b *StreamBuilder) Build(p Poisson, n int, horizon float64, baseSeed int64,
 	if cap(b.events) < 2*n {
 		b.events = make([]Event, 0, 2*n)
 	}
-	b.events = b.events[:0]
+	if cap(b.deps) < n {
+		b.deps = make([]Event, 0, n)
+	}
+	b.events, b.deps = b.events[:0], b.deps[:0]
 	t := 0.0
 	for i := 0; i < n; i++ {
 		gap, life := p.Next(b.rng)
@@ -119,35 +123,49 @@ func (b *StreamBuilder) Build(p Poisson, n int, horizon float64, baseSeed int64,
 		}
 		b.events = append(b.events, Event{Time: t, Task: i, Arrive: true})
 		if dep := t + life; dep < horizon {
-			b.events = append(b.events, Event{Time: dep, Task: i, Arrive: false})
+			b.deps = append(b.deps, Event{Time: dep, Task: i, Arrive: false})
 		}
 	}
-	// sort.Sort over a pointer receiver keeps the build allocation-free
-	// (sort.Slice's closure would escape).
-	sort.Sort((*eventsByTime)(&b.events))
+	b.events = mergeDepartures(b.events, b.deps)
 	return b.events
 }
 
-// eventsByTime orders events by (Time, departures-first, Task): at
-// equal timestamps a departure frees capacity before the arrival is
-// screened, and the task index breaks the remaining ties so the order
-// is total and deterministic.
-type eventsByTime []Event
-
-func (e *eventsByTime) Len() int { return len(*e) }
-
-func (e *eventsByTime) Swap(i, j int) { (*e)[i], (*e)[j] = (*e)[j], (*e)[i] }
-
-func (e *eventsByTime) Less(i, j int) bool {
-	a, b := &(*e)[i], &(*e)[j]
-	if a.Time < b.Time {
-		return true
+// mergeDepartures returns the stream of arrivals and deps in the order
+// (Time, departures first, Task): at equal timestamps a departure frees
+// capacity before the arrival is screened, and the task index breaks
+// the remaining ties, so the order is total and deterministic.
+// Arrivals must already be in that order, which the draw loop yields
+// (times never decrease and task indices increase), and have room for
+// deps past their length; the merge fills that room back to front, so
+// it needs no scratch. Only the departures are sorted.
+//
+//mc:allocfree sorts deps in place and merges within arrivals' capacity
+func mergeDepartures(arrivals, deps []Event) []Event {
+	slices.SortFunc(deps, departureOrder)
+	out := arrivals[:len(arrivals)+len(deps)]
+	i, j := len(arrivals)-1, len(deps)-1
+	for k := len(out) - 1; j >= 0; k-- {
+		// An arrival goes after a departure unless it is strictly earlier.
+		if i >= 0 && out[i].Time >= deps[j].Time {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = deps[j]
+			j--
+		}
 	}
-	if b.Time < a.Time {
-		return false
+	return out
+}
+
+// departureOrder orders departures by (Time, Task).
+//
+//mc:allocfree two scalar compares
+func departureOrder(a, b Event) int {
+	switch {
+	case a.Time < b.Time:
+		return -1
+	case b.Time < a.Time:
+		return 1
 	}
-	if a.Arrive != b.Arrive {
-		return !a.Arrive // departures first
-	}
-	return a.Task < b.Task
+	return a.Task - b.Task
 }

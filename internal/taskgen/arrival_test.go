@@ -3,9 +3,55 @@ package taskgen
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 )
+
+// eventsByTime is the reference stream order, the sort.Interface the
+// builder once sorted the whole stream with: (Time, departures first,
+// Task).
+type eventsByTime []Event
+
+func (e *eventsByTime) Len() int { return len(*e) }
+
+func (e *eventsByTime) Swap(i, j int) { (*e)[i], (*e)[j] = (*e)[j], (*e)[i] }
+
+func (e *eventsByTime) Less(i, j int) bool {
+	a, b := &(*e)[i], &(*e)[j]
+	if a.Time < b.Time {
+		return true
+	}
+	if b.Time < a.Time {
+		return false
+	}
+	if a.Arrive != b.Arrive {
+		return !a.Arrive // departures first
+	}
+	return a.Task < b.Task
+}
+
+// sortedStream is the reference builder: the same draws as Build, each
+// arrival followed by its departure, then one total-order sort of the
+// whole stream.
+func sortedStream(p Poisson, n int, horizon float64, baseSeed int64, idx int) []Event {
+	rng := rand.New(newSplitmix(mix(baseSeed, int64(idx)) ^ arrivalSalt))
+	var ev eventsByTime
+	t := 0.0
+	for i := 0; i < n; i++ {
+		gap, life := p.Next(rng)
+		t += gap
+		if t >= horizon {
+			break
+		}
+		ev = append(ev, Event{Time: t, Task: i, Arrive: true})
+		if dep := t + life; dep < horizon {
+			ev = append(ev, Event{Time: dep, Task: i, Arrive: false})
+		}
+	}
+	sort.Sort(&ev)
+	return ev
+}
 
 // TestPoissonValidate pins the configuration errors of the arrival
 // process: both parameters must be finite and positive.
@@ -124,24 +170,64 @@ func TestStreamInvariants(t *testing.T) {
 }
 
 // TestStreamTieBreak checks the documented equal-timestamp order
-// directly on the sorter: departures first, then ascending task index.
+// directly on Build's merge: departures first, then ascending task
+// index — a departure and an arrival at one instant, and two
+// departures at one instant, handed to it out of order.
 func TestStreamTieBreak(t *testing.T) {
-	ev := eventsByTime{
-		{Time: 5, Task: 2, Arrive: true},
-		{Time: 5, Task: 1, Arrive: false},
-		{Time: 5, Task: 0, Arrive: true},
+	arrivals := make([]Event, 0, 7)
+	arrivals = append(arrivals,
+		Event{Time: 1, Task: 0, Arrive: true},
+		Event{Time: 5, Task: 2, Arrive: true},
+		Event{Time: 5, Task: 4, Arrive: true},
+	)
+	deps := []Event{
+		{Time: 7, Task: 0, Arrive: false},
 		{Time: 5, Task: 3, Arrive: false},
+		{Time: 9, Task: 4, Arrive: false},
+		{Time: 5, Task: 1, Arrive: false},
 	}
 	want := []Event{
+		{Time: 1, Task: 0, Arrive: true},
 		{Time: 5, Task: 1, Arrive: false},
 		{Time: 5, Task: 3, Arrive: false},
-		{Time: 5, Task: 0, Arrive: true},
 		{Time: 5, Task: 2, Arrive: true},
+		{Time: 5, Task: 4, Arrive: true},
+		{Time: 7, Task: 0, Arrive: false},
+		{Time: 9, Task: 4, Arrive: false},
 	}
-	sort.Sort(&ev)
+	got := mergeDepartures(arrivals, deps)
+	if len(got) != len(want) {
+		t.Fatalf("merged %d events, want %d", len(got), len(want))
+	}
 	for i := range want {
-		if ev[i] != want[i] {
-			t.Fatalf("tie-break order: got %+v at %d, want %+v", ev[i], i, want[i])
+		if got[i] != want[i] {
+			t.Fatalf("tie-break order: got %+v at %d, want %+v", got[i], i, want[i])
+		}
+	}
+}
+
+// TestStreamMatchesTotalOrderSort is the differential check of the
+// departures-only sort: over 1,000 (seed, idx) pairs, Build's stream
+// equals the reference builder's one sort of the same draws.
+func TestStreamMatchesTotalOrderSort(t *testing.T) {
+	sb := NewStreamBuilder()
+	procs := []Poisson{
+		{Rate: 0.08, MeanLifetime: 1000}, // onl1: many departures past the horizon
+		{Rate: 0.5, MeanLifetime: 20},    // short lives: departures interleave
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		for idx := 0; idx < 10; idx++ {
+			p := procs[int(seed)%len(procs)]
+			got := sb.Build(p, 64, 4000, seed, idx)
+			want := sortedStream(p, 64, 4000, seed, idx)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d idx %d: %d events, reference %d", seed, idx, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d idx %d event %d: %+v, reference %+v", seed, idx, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -19,6 +19,7 @@ FUZZ_TARGETS=(
     "./internal/fpamc FuzzAMCProbeAgreement"
     "./internal/partition FuzzIncrementalAgreement"
     "./internal/partition FuzzBackendMetamorphic"
+    "./internal/partition FuzzLeastLoadedPick"
     "./internal/serve FuzzAdmitDecode"
     "./internal/runner FuzzCheckpointLine"
 )
