@@ -78,6 +78,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cfg.Validate(); err != nil {
 		return fail(err)
 	}
+	if *count < 1 {
+		return fail(fmt.Errorf("-count must be at least 1, got %d", *count))
+	}
 	if *count > 1 && *out == "" {
 		return fail(errors.New("use -o for multiple sets"))
 	}

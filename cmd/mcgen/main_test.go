@@ -44,6 +44,8 @@ func TestBadFlagsExit1(t *testing.T) {
 		want string
 	}{
 		{[]string{"-count", "2"}, "mcgen: use -o for multiple sets\n"},
+		{[]string{"-count", "0"}, "mcgen: -count must be at least 1, got 0\n"},
+		{[]string{"-count", "-3", "-o", "sets"}, "mcgen: -count must be at least 1, got -3\n"},
 		{[]string{"-n", "40:200abc"}, "mcgen: invalid range \"40:200abc\" (want lo:hi)\n"},
 		{[]string{"-n", "40"}, "mcgen: invalid range \"40\" (want lo:hi)\n"},
 		{[]string{"-ifc", "0.4:0.4x"}, "mcgen: invalid range \"0.4:0.4x\" (want lo:hi)\n"},

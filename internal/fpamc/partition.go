@@ -21,12 +21,12 @@ const BackendName = "amcrtb"
 //
 // A response-time analysis has no single utilization figure, so the
 // core-utilization metric this backend reports (ProbeUtil, CoreUtil,
-// reflected into CoreInfo.Util) is the Eq. 4 own-level load
-// sum MaxUtil — exactly what the old fixed-priority shells reported. That makes the probe increment core-independent (always
-// the candidate's MaxUtil), so CA-TPA's minimum-increment search
-// degenerates to first-feasible under its contribution ordering; the
-// ordering itself and the imbalance fallback remain active (see
-// DESIGN.md Section 11).
+// reflected into CoreInfo.Util) is the Eq. 4 own-level load sum
+// MaxUtil, exactly what the old fixed-priority shells reported. That
+// makes the probe increment core-independent (always the candidate's
+// MaxUtil), so CA-TPA's minimum-increment search degenerates to
+// first-feasible under its contribution ordering; the ordering itself
+// and the imbalance fallback remain active (see DESIGN.md Section 11).
 //
 // Incremental delta state (DESIGN.md Section 14). Each core caches its
 // committed deadline-monotonic ranks and the exact AMC-rtb fixed-point

@@ -3,7 +3,6 @@ package mc
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // TaskSet is an ordered collection of MC tasks (the set Psi of the
@@ -111,19 +110,6 @@ func (ts *TaskSet) MaxLoad() float64 {
 	return u
 }
 
-// ByLevel partitions task indices by their own criticality level;
-// result[j] holds the indices of L_j for j = 1..MaxCrit (index 0 is
-// unused).
-func (ts *TaskSet) ByLevel() [][]int {
-	k := ts.MaxCrit()
-	out := make([][]int, k+1)
-	for i := range ts.Tasks {
-		l := ts.Tasks[i].Crit
-		out[l] = append(out[l], i)
-	}
-	return out
-}
-
 // Clone returns a deep copy of the task set.
 func (ts *TaskSet) Clone() *TaskSet {
 	out := &TaskSet{Tasks: make([]Task, len(ts.Tasks))}
@@ -133,27 +119,26 @@ func (ts *TaskSet) Clone() *TaskSet {
 	return out
 }
 
-// SortStable sorts the tasks in place with the given less function,
-// preserving the relative order of equal elements.
-func (ts *TaskSet) SortStable(less func(a, b *Task) bool) {
-	sort.SliceStable(ts.Tasks, func(i, j int) bool {
-		return less(&ts.Tasks[i], &ts.Tasks[j])
-	})
-}
-
-// MarshalJSON implements json.Marshaler.
-func (ts *TaskSet) MarshalJSON() ([]byte, error) {
-	type alias TaskSet
-	return json.Marshal((*alias)(ts))
-}
-
-// UnmarshalJSON implements json.Unmarshaler and validates the decoded set.
+// UnmarshalJSON implements json.Unmarshaler. It decodes into a zero
+// set and replaces the receiver only if that set validates, so no field
+// of the old tasks survives into the new ones; on error the receiver is
+// unchanged, and null is a no-op.
+//
+// TaskSet has no MarshalJSON on purpose: encoding/json writes it in one
+// pass with its cached struct encoder, while any Marshaler, even a
+// pass-through, makes every encode build a second buffer and re-scan it
+// (DESIGN §8, "Set-up cost").
 func (ts *TaskSet) UnmarshalJSON(data []byte) error {
 	type alias TaskSet
-	if err := json.Unmarshal(data, (*alias)(ts)); err != nil {
+	var fresh *alias // stays nil on null
+	if err := json.Unmarshal(data, &fresh); err != nil || fresh == nil {
 		return err
 	}
-	return ts.Validate()
+	if err := (*TaskSet)(fresh).Validate(); err != nil {
+		return err
+	}
+	*ts = TaskSet(*fresh)
+	return nil
 }
 
 // String summarizes the set as "TaskSet{N=5, K=2, U(1)=1.23}".

@@ -1,7 +1,10 @@
 package mc
 
 import (
+	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -58,19 +61,6 @@ func TestTaskSetMaxCrit(t *testing.T) {
 	}
 }
 
-func TestTaskSetByLevel(t *testing.T) {
-	lv := dualSet().ByLevel()
-	if len(lv) != 3 {
-		t.Fatalf("ByLevel len = %d, want 3", len(lv))
-	}
-	if len(lv[1]) != 1 || lv[1][0] != 0 {
-		t.Errorf("L_1 = %v, want [0]", lv[1])
-	}
-	if len(lv[2]) != 2 {
-		t.Errorf("L_2 = %v, want two entries", lv[2])
-	}
-}
-
 func TestTaskSetValidateDuplicateID(t *testing.T) {
 	ts := NewTaskSet(mkTask(7, 10, 1, 1), mkTask(7, 10, 1, 1))
 	if err := ts.Validate(); err == nil {
@@ -116,6 +106,51 @@ func TestTaskSetJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestTaskSetUnmarshalReplaces: decoding into a set that already holds
+// tasks gives what a decode into a fresh set gives; no field of the old
+// tasks fills in one the input omits, and a failed decode leaves the
+// receiver as it was.
+func TestTaskSetUnmarshalReplaces(t *testing.T) {
+	const held = `{"tasks":[{"id":1,"name":"a","wcet":[1,2],"period":10,"crit":2},` +
+		`{"id":2,"wcet":[3],"period":30,"crit":1}]}`
+	cases := []struct {
+		name, input string
+		want        *TaskSet // nil: the input must fail with wantErr
+		wantErr     string   // a substring of the error
+	}{
+		{"omitted period", `{"tasks":[{"id":1,"wcet":[1],"crit":1}]}`, nil,
+			"task 1: non-positive period 0"},
+		{"omitted name", `{"tasks":[{"id":1,"wcet":[1],"period":5,"crit":1}]}`,
+			NewTaskSet(Task{ID: 1, WCET: []float64{1}, Period: 5, Crit: 1}), ""},
+		{"omitted tasks", `{}`, &TaskSet{}, ""},
+		{"invalid second task", `{"tasks":[{"id":1,"wcet":[1],"period":5,"crit":1},{"id":2,"wcet":[4,2],"period":9,"crit":2}]}`,
+			nil, "task 2: WCET vector decreases at level 2 (2 < 4)"},
+		{"type error", `{"tasks":[{"id":"x","period":99}]}`, nil,
+			"cannot unmarshal string"},
+	}
+	for _, tc := range cases {
+		var ts, orig TaskSet
+		for _, dst := range []*TaskSet{&ts, &orig} {
+			if err := json.Unmarshal([]byte(held), dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := json.Unmarshal([]byte(tc.input), &ts)
+		want := tc.want
+		if want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+			}
+			want = &orig
+		} else if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(&ts, want) {
+			t.Errorf("%s: set %+v, want %+v", tc.name, ts, *want)
+		}
+	}
+}
+
 func TestTaskSetCloneIsDeep(t *testing.T) {
 	ts := dualSet()
 	cl := ts.Clone()
@@ -125,10 +160,62 @@ func TestTaskSetCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestTaskSetSortStable(t *testing.T) {
-	ts := dualSet()
-	ts.SortStable(func(a, b *Task) bool { return a.Period > b.Period })
-	if ts.Tasks[0].ID != 3 || ts.Tasks[2].ID != 1 {
-		t.Errorf("sorted order = %d,%d,%d", ts.Tasks[0].ID, ts.Tasks[1].ID, ts.Tasks[2].ID)
+// FuzzTaskSetJSON checks UnmarshalJSON against its contract on any
+// input: decoding into a set that already holds an accepted set gives
+// the same set, or the same error, as decoding into a fresh one (a
+// JSON null leaves either receiver as it was, an error leaves the held
+// set unchanged); and Marshal → Unmarshal → Marshal of every accepted
+// set gives the same bytes twice.
+func FuzzTaskSetJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"tasks":[{"id":1,"name":"a","wcet":[1,2],"period":10,"crit":2}]}`,
+		`{"tasks":[{"id":1,"wcet":[1],"crit":1}]}`,
+		`{"tasks":[{"id":7,"name":"<a&b> \"x\"","wcet":[1,2,3.25,4],"period":40,"crit":4}]}`,
+		`{"tasks":[{"id":1,"wcet":[4,2],"period":10,"crit":2}]}`,
+		`{"tasks":[{"id":1,"wcet":[1],"period":5,"crit":1},{"id":1,"wcet":[1],"period":5,"crit":1}]}`,
+		`{"tasks":[{"id":"x","period":99}]}`,
+		`{"tasks":[]}`, `{}`, ` null `, `[]`, `"x"`, `{"tasks":`,
+	} {
+		f.Add([]byte(seed))
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fresh TaskSet
+		errFresh := json.Unmarshal(data, &fresh)
+		held, orig := dualSet(), dualSet()
+		errHeld := json.Unmarshal(data, held)
+		switch {
+		case errFresh != nil:
+			if errHeld == nil || errHeld.Error() != errFresh.Error() {
+				t.Fatalf("fresh decode failed with %q, held decode with %v", errFresh, errHeld)
+			}
+			if !reflect.DeepEqual(held, orig) {
+				t.Fatalf("failed decode changed the receiver to %+v", held.Tasks)
+			}
+			return
+		case errHeld != nil:
+			t.Fatalf("fresh decode succeeded, held decode failed with %v", errHeld)
+		case string(bytes.Trim(data, " \t\r\n")) == "null":
+			if !reflect.DeepEqual(held, orig) || !reflect.DeepEqual(&fresh, &TaskSet{}) {
+				t.Fatalf("null changed a receiver: held %+v, fresh %+v", held.Tasks, fresh.Tasks)
+			}
+			return
+		case !reflect.DeepEqual(held, &fresh):
+			t.Fatalf("held decode gave %+v, fresh decode %+v", held.Tasks, fresh.Tasks)
+		}
+		first, err := json.Marshal(&fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back TaskSet
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("re-decoding %s: %v", first, err)
+		}
+		second, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the encoding:\n%s\n%s", first, second)
+		}
+	})
 }

@@ -111,17 +111,21 @@ func dumpRequest(r *Request) string {
 	return s
 }
 
-// admitBody is the json.Marshal encoding of a request for an n-task
-// set with every scheme, the shape mcbench and clients send.
-func admitBody(tb testing.TB, n int) []byte {
+// admitRequest is a request for an n-task set with every scheme, the
+// shape mcbench and clients send.
+func admitRequest(tb testing.TB, n int) *Request {
 	tb.Helper()
 	names := make([]string, len(partition.Schemes))
 	for i, s := range partition.Schemes {
 		names[i] = s.String()
 	}
-	body, err := json.Marshal(&Request{
-		TaskSet: genSet(tb, 4, 2, n, 0.5, int64(n)), M: 4, K: 2, Schemes: names, Tag: "t",
-	})
+	return &Request{TaskSet: genSet(tb, 4, 2, n, 0.5, int64(n)), M: 4, K: 2, Schemes: names, Tag: "t"}
+}
+
+// admitBody is the json.Marshal encoding of admitRequest(tb, n).
+func admitBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	body, err := json.Marshal(admitRequest(tb, n))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -504,6 +508,24 @@ func BenchmarkDecodeRequest(b *testing.B) {
 	var req Request
 	for i := 0; i < b.N; i++ {
 		if err := decodeRequest(body, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeRequest measures json.Marshal of a 96-task request,
+// the encode every /v1/admit client (mcbench's included) runs per body.
+func BenchmarkEncodeRequest(b *testing.B) {
+	req := admitRequest(b, 96)
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := json.Marshal(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,6 +15,7 @@ FUZZ_TARGETS=(
     "./internal/edfvd FuzzTheorem1Feasible"
     "./internal/edfvd FuzzDualAgreement"
     "./internal/taskgen FuzzGenerate"
+    "./internal/mc FuzzTaskSetJSON"
     "./internal/fpamc FuzzBackendAgreement"
     "./internal/fpamc FuzzAMCProbeAgreement"
     "./internal/partition FuzzIncrementalAgreement"
